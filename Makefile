@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-fleet serve-smoke faults fault-smoke attacks attack-smoke multicore realbin
+.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-fleet serve-smoke faults attacks multicore campaign-smoke realbin
 
 all: build test
 
@@ -129,27 +129,24 @@ serve-fleet:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# The canonical fault-injection campaign as a text coverage table.
+# The canonical campaigns as text tables: fault-injection detection
+# coverage, the adversary-in-the-loop work factor, multi-tenant interference.
 faults:
-	$(GO) run ./cmd/faultsim
+	$(GO) run ./cmd/campaignsim -kind faults
 
-# Boot vcfrd, run a campaign through POST /v1/faults, prove the stored
-# envelope is byte-identical to faultsim -json, and drain on SIGTERM.
-fault-smoke:
-	./scripts/fault_smoke.sh
-
-# The canonical adversary-in-the-loop campaign as a text work-factor table.
 attacks:
-	$(GO) run ./cmd/attacksim
+	$(GO) run ./cmd/campaignsim -kind attacks
 
-# Boot vcfrd, run a campaign through POST /v1/attacks, prove the stored
-# envelope is byte-identical to attacksim -json, and drain on SIGTERM.
-attack-smoke:
-	./scripts/attack_smoke.sh
-
-# The canonical multi-tenant interference campaign as a text table.
 multicore:
-	$(GO) run ./cmd/clustersim
+	$(GO) run ./cmd/campaignsim -kind multicore
+
+# For each campaign kind: boot vcfrd, run a campaign through POST /v1/jobs,
+# prove the stored envelope is byte-identical to campaignsim -json, and
+# drain on SIGTERM.
+campaign-smoke:
+	./scripts/campaign_smoke.sh faults
+	./scripts/campaign_smoke.sh attacks
+	./scripts/campaign_smoke.sh multicore
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -7,26 +7,10 @@
 //	experiments -experiment all -scale 2 -workers 8
 //	experiments -experiment fig13 -workloads h264ref,lbm -instructions 2000000
 //	experiments -experiment all -cache .vcfr-cache.json
-//	experiments -mode faults
-//	experiments -mode faults -injections 200 -stats-json
-//	experiments -mode attacks
-//	experiments -mode attacks -payloads exfiltrate -stats-json
-//	experiments -mode multicore
-//	experiments -mode multicore -cells 2c4t -stats-json
+//	experiments -stats-json -workloads bzip2,mcf
 //
-// -mode faults runs the dependability fault-injection campaign instead of
-// the timing tables: the same campaign `faultsim` runs, across all three
-// architecture modes, printing the detection-coverage table (or, with
-// -stats-json, the campaign results envelope byte-identical to
-// `faultsim -json`).
-//
-// -mode attacks runs the adversary-in-the-loop security evaluation: the same
-// campaign `attacksim` runs, printing the work-factor table (or, with
-// -stats-json, the envelope byte-identical to `attacksim -json`).
-//
-// -mode multicore runs the multi-tenant interference campaign: the same
-// campaign `clustersim` runs, printing the co-run slowdown table (or, with
-// -stats-json, the envelope byte-identical to `clustersim -json`).
+// The fault, attack and multicore campaigns have their own command,
+// campaignsim.
 //
 // Each experiment prints an aligned text table with the same rows/series the
 // paper reports, plus the paper's headline number for comparison.
@@ -50,10 +34,7 @@ import (
 	"strings"
 	"time"
 
-	"vcfr/internal/attack"
-	"vcfr/internal/fault"
 	"vcfr/internal/harness"
-	"vcfr/internal/multicore"
 	"vcfr/internal/results"
 	"vcfr/internal/trace"
 )
@@ -67,7 +48,6 @@ func main() {
 
 func run() error {
 	var (
-		mode       = flag.String("mode", "tables", "what to run: tables (the paper's timing tables) | faults (the dependability fault campaign) | attacks (the adversary-in-the-loop security evaluation) | multicore (the multi-tenant interference campaign)")
 		experiment = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
 		workloadsF = flag.String("workloads", "", "comma-separated workload subset (default: experiment's own set)")
 		scale      = flag.Int("scale", 1, "workload iteration scale")
@@ -80,15 +60,7 @@ func run() error {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		format     = flag.String("format", "text", "output format: text | json")
 		traceCache = flag.Int("trace-cache", 256, "in-memory trace cache budget in MiB for record-once/replay-many execution (0 disables)")
-		statsJSON  = flag.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON (with -mode faults/attacks: emit the campaign envelope)")
-		injections = flag.Int("injections", 0, "with -mode faults: injections per workload x mode cell (0 = default 120)")
-		faultsF    = flag.String("faults", "", "with -mode faults: comma-separated fault kinds (default: the full fault model)")
-		bits       = flag.Int("bits", 1, "with -mode faults: bits flipped per injection")
-		payloadsF  = flag.String("payloads", "", "with -mode attacks: comma-separated payload templates (default: all three)")
-		budget     = flag.Int("budget", 0, "with -mode attacks: leak budget B0 (0 = default 16)")
-		rerandN    = flag.Int("rerand-every", 0, "with -mode attacks: re-randomization period in leak ops (0 = default 5)")
-		cellsF     = flag.String("cells", "", "with -mode multicore: comma-separated cores×tenants cells, e.g. 2c4t,1c2t (default: the canonical grid)")
-		quantum    = flag.Uint64("quantum", 0, "with -mode multicore: scheduler time slice in instructions (0 = default 10000)")
+		statsJSON  = flag.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON")
 	)
 	flag.Parse()
 
@@ -131,107 +103,6 @@ func run() error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	switch *mode {
-	case "tables":
-	case "faults":
-		fcfg := fault.Config{
-			Workloads:  cfg.Workloads,
-			Injections: *injections,
-			Seed:       *seed,
-			Scale:      *scale,
-			Spread:     *spread,
-			MaxInsts:   *maxInsts,
-			Bits:       *bits,
-		}
-		if *faultsF != "" {
-			kinds, err := fault.ParseKinds(strings.Split(*faultsF, ","))
-			if err != nil {
-				return err
-			}
-			fcfg.Kinds = kinds
-		}
-		rep, err := fault.RunCampaign(ctx, r, fcfg, nil)
-		if err != nil {
-			return err
-		}
-		if *statsJSON {
-			if err := results.Write(os.Stdout, rep.Envelope()); err != nil {
-				return err
-			}
-		} else {
-			fmt.Print(rep.Table().Render())
-		}
-		if rep.Partial {
-			return fmt.Errorf("campaign incomplete: some injections were not executed")
-		}
-		return nil
-	case "attacks":
-		acfg := attack.Config{
-			Workloads:   cfg.Workloads,
-			Seed:        *seed,
-			Scale:       *scale,
-			Spread:      *spread,
-			MaxInsts:    *maxInsts,
-			LeakBudget:  *budget,
-			RerandEvery: *rerandN,
-		}
-		if *payloadsF != "" {
-			payloads, err := attack.ParsePayloads(strings.Split(*payloadsF, ","))
-			if err != nil {
-				return err
-			}
-			acfg.Payloads = payloads
-		}
-		rep, err := attack.RunCampaign(ctx, r, acfg, nil)
-		if err != nil {
-			return err
-		}
-		if *statsJSON {
-			if err := results.Write(os.Stdout, rep.Envelope()); err != nil {
-				return err
-			}
-		} else {
-			fmt.Print(rep.Table().Render())
-		}
-		if rep.Partial {
-			return fmt.Errorf("campaign incomplete: some cells were not executed")
-		}
-		return nil
-	case "multicore":
-		mcfg := multicore.Config{
-			Workloads: cfg.Workloads,
-			Quantum:   *quantum,
-			Seed:      *seed,
-			Scale:     *scale,
-			Spread:    *spread,
-			MaxInsts:  *maxInsts,
-		}
-		if *cellsF != "" {
-			cells, err := multicore.ParseCells(*cellsF)
-			if err != nil {
-				return err
-			}
-			mcfg.Cells = cells
-		}
-		rep, err := multicore.RunCampaign(ctx, r, mcfg, nil)
-		if err != nil {
-			return err
-		}
-		if *statsJSON {
-			if err := results.Write(os.Stdout, rep.Envelope()); err != nil {
-				return err
-			}
-		} else {
-			fmt.Print(rep.Table().Render())
-		}
-		if rep.Partial {
-			return fmt.Errorf("campaign incomplete: some cells were not executed")
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown -mode %q (want tables, faults, attacks, or multicore)", *mode)
-	}
 
 	if *statsJSON {
 		rows, err := harness.StatsSweep(ctx, r, cfg)

@@ -14,22 +14,23 @@
 // Endpoints (see docs/ARCHITECTURE.md and EXPERIMENTS.md for a walkthrough):
 //
 //	POST   /v1/jobs            unified asynchronous submission (kind: run |
-//	                           sweep | faults | attacks); 202 + job id
+//	                           sweep | faults | attacks | multicore); 202 +
+//	                           job id; campaign results are byte-identical
+//	                           to `campaignsim -json`
 //	GET    /v1/jobs            job listing with state filter and cursor
 //	GET    /v1/jobs/{id}       job state and result
 //	GET    /v1/jobs/{id}/events  live progress as Server-Sent Events
 //	DELETE /v1/jobs/{id}       cancel; answers the partial-rows envelope
 //	POST   /v1/simulate        synchronous simulation; body byte-identical
 //	                           to `vcfrsim -stats-json`
-//	POST   /v1/sweep|faults|attacks  deprecated aliases of POST /v1/jobs
 //	GET    /v1/artifacts/{ns}/{key}  content-addressed artifact exchange
 //	GET    /v1/workloads       workload catalog
 //	GET    /healthz            liveness
 //	GET    /metrics            Prometheus text metrics
 //	GET    /debug/pprof/       profiler
 //
-// In -coordinator mode the same API is served, but sweep and campaign jobs
-// are sharded per workload across the -backends fleet and the shard
+// In -coordinator mode the same API is served, but sweep, fault and attack
+// jobs are sharded per workload across the -backends fleet and the shard
 // envelopes merged byte-identically to single-process execution; a backend
 // lost mid-campaign has its shards retried on the survivors.
 //

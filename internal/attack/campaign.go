@@ -2,16 +2,13 @@ package attack
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/workloads"
 )
 
 // Config scopes one attack campaign. The zero value (after withDefaults) is
@@ -21,7 +18,7 @@ import (
 // re-randomization — all drawn deterministically from Seed, so the same
 // Config always yields the same work-factor table.
 type Config struct {
-	// Workloads to attack; empty means DefaultWorkloads.
+	// Workloads to attack; empty means harness.CampaignWorkloads.
 	Workloads []string
 	// Modes to evaluate; empty means all three architectures.
 	Modes []cpu.Mode
@@ -52,52 +49,10 @@ type Config struct {
 	AdvanceInsts uint64
 }
 
-// DefaultWorkloads is the canonical campaign's workload set, matching the
-// fault campaign's: three small, behaviorally distinct SPEC analogs whose
-// text sizes span one page (bzip2, sjeng) to several (xalan).
-func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
-
-// AllModes returns the three architecture modes in report order.
-func AllModes() []cpu.Mode {
-	return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-}
-
-// ParseModes maps a CLI/request mode string onto the campaign's mode list.
-func ParseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "", "all":
-		return AllModes(), nil
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	}
-	return nil, fmt.Errorf("attack: unknown mode %q (want baseline, naive, vcfr, or all)", s)
-}
-
 func (c Config) withDefaults() Config {
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloads()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = AllModes()
-	}
+	harness.CampaignDefaults(&c.Workloads, &c.Modes, &c.Seed, &c.Scale, &c.Spread, &c.MaxInsts)
 	if len(c.Payloads) == 0 {
 		c.Payloads = AllPayloads()
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 8
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 25000
 	}
 	if c.LeakBudget <= 0 {
 		c.LeakBudget = 16
@@ -112,17 +67,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	for _, w := range c.Workloads {
-		if _, err := workloads.ByName(w, 1); err != nil {
-			return err
-		}
-	}
-	for _, m := range c.Modes {
-		switch m {
-		case cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR:
-		default:
-			return fmt.Errorf("attack: unknown mode %v", m)
-		}
+	if err := harness.CheckCampaign("attack", c.Workloads, c.Modes); err != nil {
+		return err
 	}
 	for _, p := range c.Payloads {
 		if !p.valid() {
@@ -246,7 +192,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			for _, p := range cfg.Payloads {
 				row := Row{Workload: w, Mode: m, Payload: p}
 				if err := appErr[w]; err != nil {
-					row.Error = firstLine(err.Error())
+					row.Error = harness.FirstLine(err.Error())
 				}
 				rep.Rows = append(rep.Rows, row)
 			}
@@ -280,7 +226,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		// A cell the shard never reached (cancellation) reports why.
 		if row.Error == "" && row.Stats.ChainsBuilt == 0 && row.Stats.Leaks == 0 &&
 			row.Static.PoolSize == 0 {
-			row.Error = firstLine(notExecuted(ctx).Error())
+			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "attack cell").Error())
 		}
 		if row.Error != "" {
 			rep.Partial = true
@@ -297,12 +243,12 @@ func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts
 	st := &row.Stats
 	var err error
 	if row.Static, err = runStatic(ctx, app, row.Mode, row.Payload, cfg, st); err != nil {
-		row.Error = firstLine(err.Error())
+		row.Error = harness.FirstLine(err.Error())
 		return insts
 	}
 	var n uint64
 	if row.Plain, n, err = runDisclosure(ctx, app, cfg, row, false, st); err != nil {
-		row.Error = firstLine(err.Error())
+		row.Error = harness.FirstLine(err.Error())
 		return insts + n
 	}
 	insts += n
@@ -311,7 +257,7 @@ func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts
 	}
 	var d Disclosure
 	if d, n, err = runDisclosure(ctx, app, cfg, row, true, st); err != nil {
-		row.Error = firstLine(err.Error())
+		row.Error = harness.FirstLine(err.Error())
 		return insts + n
 	}
 	insts += n
@@ -377,7 +323,7 @@ func runDisclosure(ctx context.Context, app *harness.App, cfg Config, row *Row, 
 		d.ChainsBuilt++
 		outcome := fire(ctx, app, row.Mode, o.res, ch, row.Payload, cfg.MaxInsts)
 		if outcome == "" {
-			return d, ran, notExecuted(ctx)
+			return d, ran, harness.NotExecuted(ctx, "attack cell")
 		}
 		st.AddFire(outcome)
 		d.ChainsFired++
@@ -397,49 +343,23 @@ func runDisclosure(ctx context.Context, app *harness.App, cfg Config, row *Row, 
 	return d, ran, nil
 }
 
-// notExecuted names why planned work never ran: the context's error when it
-// was cancelled, a generic marker otherwise.
-func notExecuted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return errors.New("attack cell not executed")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// ModeSummary is one mode's aggregate over the campaign's cells — the
-// numbers the paper-style claim ranks.
-type ModeSummary struct {
-	Mode            cpu.Mode
-	Cells           int
-	StaticSuccesses int     // full-knowledge chains that worked
-	Successes       int     // plain-arm disclosure successes (any budget)
-	WithinBudget    int     // plain-arm successes within LeakBudget
-	SuccessRate     float64 // WithinBudget / Cells
-	MeanLeaks       float64 // mean leaks over plain-arm successes
-	RerandSuccesses int     // rerand-arm successes (any budget)
-	MeanRerandLeaks float64 // mean leaks over rerand-arm successes
-}
-
-// Summaries aggregates per mode, in the config's mode order. Cells carrying
-// errors are excluded.
-func (rep *Report) Summaries() []ModeSummary {
-	out := make([]ModeSummary, 0, len(rep.Config.Modes))
-	for _, m := range rep.Config.Modes {
-		s := ModeSummary{Mode: m}
+// Summarize aggregates wire rows per mode, in the given mode order — the
+// numbers the paper-style claim ranks. Rows carrying errors are excluded.
+// Report.Envelope and the fleet's shard merge both call it, so a merged
+// campaign's summaries are computed by the same arithmetic as a
+// single-process one.
+func Summarize(modes []string, rows []results.AttackRow) []results.AttackModeSummary {
+	// Starts nil so an empty mode list marshals the same on every path.
+	var out []results.AttackModeSummary
+	for _, m := range modes {
+		s := results.AttackModeSummary{Mode: m}
 		var leakSum, rleakSum int
-		for _, r := range rep.Rows {
+		for _, r := range rows {
 			if r.Mode != m || r.Error != "" {
 				continue
 			}
 			s.Cells++
-			if r.Static.Outcome == OutcomeSuccess {
+			if r.Static.Outcome == string(OutcomeSuccess) {
 				s.StaticSuccesses++
 			}
 			if r.Plain.Success {
@@ -513,19 +433,7 @@ func (rep *Report) Envelope() results.Envelope {
 		}
 		a.Rows = append(a.Rows, ar)
 	}
-	for _, s := range rep.Summaries() {
-		a.Summaries = append(a.Summaries, results.AttackModeSummary{
-			Mode:            s.Mode.String(),
-			Cells:           s.Cells,
-			StaticSuccesses: s.StaticSuccesses,
-			Successes:       s.Successes,
-			WithinBudget:    s.WithinBudget,
-			SuccessRate:     s.SuccessRate,
-			MeanLeaks:       s.MeanLeaks,
-			RerandSuccesses: s.RerandSuccesses,
-			MeanRerandLeaks: s.MeanRerandLeaks,
-		})
-	}
+	a.Summaries = Summarize(a.Modes, a.Rows)
 	a.Totals = results.AttackCounts{
 		ChainsBuilt:      rep.Totals.ChainsBuilt,
 		ChainsFired:      rep.Totals.ChainsFired,
@@ -558,7 +466,7 @@ func disclosureDoc(d Disclosure) results.AttackDisclosure {
 }
 
 // Table renders the report as the human-readable work-factor table
-// attacksim and experiments print: one row per cell, then the per-mode
+// `campaignsim -kind attacks` prints: one row per cell, then the per-mode
 // summary — the paper's headline comparison (baseline falls in a page or
 // two, naive ILR falls to map+code pairing, VCFR converts every attempt
 // into a detection).
@@ -597,9 +505,9 @@ func (rep *Report) Table() *harness.Table {
 			rrLeaks, rrOutcome,
 		})
 	}
-	for _, s := range rep.Summaries() {
+	for _, s := range rep.Envelope().Attack.Summaries {
 		t.Rows = append(t.Rows, []string{
-			"(all)", s.Mode.String(), "(summary)",
+			"(all)", s.Mode, "(summary)",
 			fmt.Sprintf("%d static-ok", s.StaticSuccesses),
 			fmt.Sprintf("%d cells", s.Cells),
 			fmt.Sprintf("%.1f mean", s.MeanLeaks),

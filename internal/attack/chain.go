@@ -81,7 +81,7 @@ func runStatic(ctx context.Context, app *harness.App, mode cpu.Mode, payload Pay
 	st.ChainsBuilt++
 	o := fire(ctx, app, mode, app.R, ch, payload, cfg.MaxInsts)
 	if o == "" {
-		return s, notExecuted(ctx)
+		return s, harness.NotExecuted(ctx, "attack cell")
 	}
 	st.AddFire(o)
 	s.Outcome = o

@@ -54,6 +54,26 @@ func (m Mode) String() string {
 	}
 }
 
+// AllModes returns the three architectures in report order.
+func AllModes() []Mode { return []Mode{ModeBaseline, ModeNaiveILR, ModeVCFR} }
+
+// ParseModes maps the mode vocabulary every CLI flag and request body
+// shares onto architectures: baseline, naive, vcfr, or all (AllModes).
+// Callers that default an absent mode do so before parsing.
+func ParseModes(s string) ([]Mode, error) {
+	switch s {
+	case "baseline":
+		return []Mode{ModeBaseline}, nil
+	case "naive":
+		return []Mode{ModeNaiveILR}, nil
+	case "vcfr":
+		return []Mode{ModeVCFR}, nil
+	case "all":
+		return AllModes(), nil
+	}
+	return nil, fmt.Errorf("unknown mode %q (want baseline, naive, vcfr, or all)", s)
+}
+
 // Config parameterizes the machine. DefaultConfig matches Sec. VI-C.
 type Config struct {
 	Mode Mode

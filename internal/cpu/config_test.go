@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -84,5 +85,45 @@ func TestValidateMessagePrefix(t *testing.T) {
 	c.IssueWidth = 0
 	if err := c.Validate(); err == nil || !strings.HasPrefix(err.Error(), "cpu: ") {
 		t.Errorf("Validate() = %v, want a message prefixed \"cpu: \"", err)
+	}
+}
+
+// TestParseModes pins the one mode vocabulary every surface parses: the
+// vcfrsim, campaignsim and vxtrace -mode flags and the "mode" field of
+// vcfrd requests. The empty string is rejected here; the surfaces that
+// accept an absent mode (requests, and campaignsim -mode "") substitute
+// their default before parsing. vxtrace additionally refuses "all".
+func TestParseModes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []Mode // nil: rejected
+	}{
+		{"all", []Mode{ModeBaseline, ModeNaiveILR, ModeVCFR}},
+		{"baseline", []Mode{ModeBaseline}},
+		{"naive", []Mode{ModeNaiveILR}},
+		{"vcfr", []Mode{ModeVCFR}},
+		{"", nil},
+		{"bogus", nil},
+		{"quantum", nil},
+		{"naive-ilr", nil}, // the String name is not a flag value
+		{"VCFR", nil},
+		{"all ", nil},
+		{"baseline,vcfr", nil},
+	} {
+		got, err := ParseModes(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseModes(%q) = %v, want an error", tc.in, got)
+			} else if !strings.Contains(err.Error(), "want baseline, naive, vcfr, or all") {
+				t.Errorf("ParseModes(%q) error %q does not list the vocabulary", tc.in, err)
+			}
+			continue
+		}
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("ParseModes(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if fmt.Sprint(AllModes()) != "[baseline naive-ilr vcfr]" {
+		t.Errorf("AllModes = %v, want report order baseline, naive-ilr, vcfr", AllModes())
 	}
 }

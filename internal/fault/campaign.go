@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
 	"vcfr/internal/trace"
-	"vcfr/internal/workloads"
 )
 
 // Config scopes one fault-injection campaign. The zero value (after
@@ -21,7 +19,7 @@ import (
 // injections per (workload, mode) cell — all drawn deterministically from
 // Seed, so the same Config always yields the same coverage table.
 type Config struct {
-	// Workloads to inject into; empty means DefaultWorkloads.
+	// Workloads to inject into; empty means harness.CampaignWorkloads.
 	Workloads []string
 	// Modes to evaluate; empty means all three architectures.
 	Modes []cpu.Mode
@@ -49,57 +47,13 @@ type Config struct {
 	Bits int
 }
 
-// DefaultWorkloads is the canonical campaign's workload set: three small,
-// behaviorally distinct SPEC analogs, chosen so every fault kind has live
-// sites in the reference window (xalan is the one analog that executes
-// register-indirect transfers early; sjeng adds deep call/return activity;
-// bzip2 is the branchy sequential case).
-func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
-
-// AllModes returns the three architecture modes in report order.
-func AllModes() []cpu.Mode {
-	return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-}
-
-// ParseModes maps a CLI/request mode string onto the campaign's mode list.
-func ParseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "", "all":
-		return AllModes(), nil
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	}
-	return nil, fmt.Errorf("fault: unknown mode %q (want baseline, naive, vcfr, or all)", s)
-}
-
 func (c Config) withDefaults() Config {
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloads()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = AllModes()
-	}
+	harness.CampaignDefaults(&c.Workloads, &c.Modes, &c.Seed, &c.Scale, &c.Spread, &c.MaxInsts)
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
 	}
 	if c.Injections <= 0 {
 		c.Injections = 120
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 8
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 25000
 	}
 	if c.Bits <= 0 {
 		c.Bits = 1
@@ -108,17 +62,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	for _, w := range c.Workloads {
-		if _, err := workloads.ByName(w, 1); err != nil {
-			return err
-		}
-	}
-	for _, m := range c.Modes {
-		switch m {
-		case cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR:
-		default:
-			return fmt.Errorf("fault: unknown mode %v", m)
-		}
+	if err := harness.CheckCampaign("fault", c.Workloads, c.Modes); err != nil {
+		return err
 	}
 	for _, k := range c.Kinds {
 		if !k.valid() {
@@ -314,7 +259,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	})
 	for _, c := range cells {
 		if c.err == nil && c.trace == nil {
-			c.err = notExecuted(ctx)
+			c.err = harness.NotExecuted(ctx, "injection")
 		}
 	}
 
@@ -330,7 +275,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			rowIdx := len(rows)
 			rows = append(rows, Row{Workload: c.workload, Mode: c.mode, Kind: k})
 			if c.err != nil {
-				rows[rowIdx].Error = firstLine(c.err.Error())
+				rows[rowIdx].Error = harness.FirstLine(c.err.Error())
 				continue
 			}
 			cands := candidates(c.trace, k)
@@ -385,7 +330,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		if o := outcomes[i]; o != "" {
 			rep.Rows[t.row].Stats.Add(o)
 		} else if rep.Rows[t.row].Error == "" {
-			rep.Rows[t.row].Error = firstLine(notExecuted(ctx).Error())
+			rep.Rows[t.row].Error = harness.FirstLine(harness.NotExecuted(ctx, "injection").Error())
 		}
 	}
 	for i := range rep.Rows {
@@ -395,22 +340,6 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		rep.Totals.Merge(rep.Rows[i].Stats)
 	}
 	return rep, nil
-}
-
-// notExecuted names why planned work never ran: the context's error when it
-// was cancelled, a generic marker otherwise.
-func notExecuted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return errors.New("injection not executed")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // runInjection executes one injected run and classifies it. A cancelled run
@@ -483,8 +412,8 @@ func counts(s Stats) results.CampaignCounts {
 	}
 }
 
-// Table renders the report as the human-readable coverage table faultsim
-// and experiments print: one row per (workload, mode, fault kind), then a
+// Table renders the report as the human-readable coverage table
+// `campaignsim -kind faults` prints: one row per (workload, mode, fault kind), then a
 // per-mode aggregate over the control-flow kinds — the paper's headline
 // comparison.
 func (rep *Report) Table() *harness.Table {

@@ -9,11 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vcfr/internal/attack"
-	"vcfr/internal/fault"
 	"vcfr/internal/harness"
+	"vcfr/internal/results"
 	"vcfr/internal/server"
-	"vcfr/internal/workloads"
 )
 
 // Coordinator shards jobs across a fleet of worker vcfrd backends. Plug
@@ -50,53 +48,27 @@ func (co *Coordinator) Execute(ctx context.Context, kind server.JobKind, req ser
 	if len(co.Backends) == 0 {
 		return nil, errors.New("fleet: no backends configured")
 	}
-	switch kind {
-	case server.JobRun, server.JobMulticore:
-		// A single run is one indivisible cell, and a multicore campaign's
-		// cells each co-run the whole tenant mix — neither shards by
-		// workload. Proxy the job whole to one backend (retrying elsewhere
-		// on failure) and return the result bytes verbatim.
+	names, err := server.ShardPlan(kind, req)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	if names == nil {
+		// The kind does not shard by workload (a single run is one
+		// indivisible cell; a multicore cell co-runs the whole tenant mix).
+		// Proxy the job whole to one backend (retrying elsewhere on
+		// failure) and return the result bytes verbatim.
 		return co.runShard(ctx, kind, req, progress)
-	case server.JobSweep, server.JobFaults, server.JobAttacks:
-		return co.executeSharded(ctx, kind, req, progress)
-	default:
-		return nil, fmt.Errorf("fleet: unknown job kind %q", kind)
 	}
+	return co.executeSharded(ctx, kind, req, names, progress)
 }
 
-// shardWorkloads reproduces the workload-list defaulting of the single
-// process path: the request's explicit list, else the kind's canonical
-// default set. The merged envelope's header carries exactly this list, in
-// this order.
-func shardWorkloads(kind server.JobKind, req server.SimRequest) []string {
-	if len(req.Workloads) > 0 {
-		return append([]string(nil), req.Workloads...)
-	}
-	switch kind {
-	case server.JobSweep:
-		return append([]string(nil), workloads.SpecNames...)
-	case server.JobAttacks:
-		return attack.DefaultWorkloads()
-	default:
-		return fault.DefaultWorkloads()
-	}
-}
-
-// shardResult is one per-workload shard's terminal state.
-type shardResult struct {
-	workload string
-	body     []byte
-	err      error
-}
-
-// executeSharded fans a sweep or campaign out one-shard-per-workload and
-// merges. Per-cell seeds derive from the campaign seed and the workload
-// name, so a shard computes exactly the rows the full job would have
-// computed for that workload — wherever it lands and however often it
-// re-runs after a worker death.
-func (co *Coordinator) executeSharded(ctx context.Context, kind server.JobKind, req server.SimRequest, progress func(harness.Progress)) ([]byte, error) {
-	names := shardWorkloads(kind, req)
-	shards := make([]shardResult, len(names))
+// executeSharded fans a job out one shard per workload of its plan and
+// merges through the kind table. Per-cell seeds derive from the campaign
+// seed and the workload name, so a shard computes exactly the rows the full
+// job would have computed for that workload — wherever it lands and however
+// often it re-runs after a worker death.
+func (co *Coordinator) executeSharded(ctx context.Context, kind server.JobKind, req server.SimRequest, names []string, progress func(harness.Progress)) ([]byte, error) {
+	shards := make([]server.Shard, len(names))
 	agg := newProgressAgg(len(names), progress)
 	var wg sync.WaitGroup
 	for i, w := range names {
@@ -106,21 +78,14 @@ func (co *Coordinator) executeSharded(ctx context.Context, kind server.JobKind, 
 			sreq := req
 			sreq.Workloads = []string{w}
 			body, err := co.runShard(ctx, kind, sreq, agg.shard(i))
-			shards[i] = shardResult{workload: w, body: body, err: err}
+			shards[i] = server.Shard{Workload: w, Body: body, Err: err}
 		}(i, w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case server.JobSweep:
-		return mergeSweep(*req.Seed, shards)
-	case server.JobFaults:
-		return mergeCampaign(names, shards)
-	default:
-		return mergeAttack(names, shards)
-	}
+	return server.MergeShards(kind, req, shards)
 }
 
 // runShard executes one shard to completion on some backend: submit, follow
@@ -181,9 +146,9 @@ func (co *Coordinator) runOn(ctx context.Context, base string, kind server.JobKi
 	if err != nil {
 		return nil, err
 	}
-	if partial, err := envelopePartial(body); err != nil {
+	if env, err := results.Unmarshal(body); err != nil {
 		return nil, err
-	} else if partial {
+	} else if env.Partial() {
 		return nil, fmt.Errorf("backend returned a partial envelope for job %s", id)
 	}
 	return body, nil

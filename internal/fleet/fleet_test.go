@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -193,61 +194,65 @@ func TestFleetDegradesSweepShards(t *testing.T) {
 	}
 }
 
-// TestCoordinatorAliasRoutes drives a coordinator through a deprecated
-// alias, proving the fleet executor sits behind every submission path, not
-// just /v1/jobs.
-func TestCoordinatorAliasRoutes(t *testing.T) {
+// TestCoordinatorSimulateRoute drives a coordinator through the synchronous
+// POST /v1/simulate route, proving the fleet executor sits behind every
+// submission path, not just /v1/jobs.
+func TestCoordinatorSimulateRoute(t *testing.T) {
 	_, single := startNode(t, nil)
 	_, w1 := startNode(t, nil)
 	co := New([]string{w1})
 	coordSrv, _ := startNode(t, co.Execute)
 
-	body := `{"workloads": ["bzip2"], "mode": "vcfr", "injections": 4, "instructions": 5000}`
-	resp, err := http.Post("http://"+coordSrv.Addr()+"/v1/faults", "application/json", strings.NewReader(body))
+	body := `{"workload": "bzip2", "mode": "all", "instructions": 5000}`
+	resp, err := http.Post("http://"+coordSrv.Addr()+"/v1/simulate", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("alias submit: %d", resp.StatusCode)
-	}
-	var acc struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	c := &Client{Base: "http://" + coordSrv.Addr()}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := c.Wait(ctx, acc.ID, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Result(ctx, acc.ID)
+	got, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate via coordinator: %d: %s", resp.StatusCode, got)
 	}
 
 	var req server.SimRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	want := runVia(t, single, server.JobFaults, req, nil)
+	want := runVia(t, single, server.JobRun, req, nil)
 	if string(got) != string(want) {
-		t.Errorf("alias-submitted fleet campaign differs from single process:\n--- fleet ---\n%.400s\n--- single ---\n%.400s", got, want)
+		t.Errorf("simulate through the coordinator differs from single process:\n--- fleet ---\n%.400s\n--- single ---\n%.400s", got, want)
 	}
 }
 
 // TestShardWorkloadDefaults pins the coordinator's shard plan to the
 // single-process default workload lists — the merge's canonical order.
 func TestShardWorkloadDefaults(t *testing.T) {
-	if got := shardWorkloads(server.JobFaults, server.SimRequest{}); len(got) != 3 {
+	plan := func(kind server.JobKind, req server.SimRequest) []string {
+		t.Helper()
+		names, err := server.ShardPlan(kind, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if got := plan(server.JobFaults, server.SimRequest{}); len(got) != 3 {
 		t.Errorf("faults default shards = %v", got)
 	}
-	if got := shardWorkloads(server.JobSweep, server.SimRequest{}); len(got) != 11 {
+	if got := plan(server.JobSweep, server.SimRequest{}); len(got) != 11 {
 		t.Errorf("sweep default shards = %v (want the 11 SPEC analogs)", got)
 	}
 	want := []string{"xalan", "bzip2"}
-	got := shardWorkloads(server.JobAttacks, server.SimRequest{Workloads: want})
+	got := plan(server.JobAttacks, server.SimRequest{Workloads: want})
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("explicit workloads not preserved in order: %v", got)
+	}
+	// Kinds that do not shard by workload run whole on one backend.
+	for _, kind := range []server.JobKind{server.JobRun, server.JobMulticore} {
+		if got := plan(kind, server.SimRequest{Workloads: want}); got != nil {
+			t.Errorf("%s shard plan = %v, want none", kind, got)
+		}
 	}
 }

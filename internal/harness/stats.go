@@ -3,25 +3,12 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/results"
 	"vcfr/internal/workloads"
 )
-
-// StatsRow is one (workload, mode) run's complete simulator output: the
-// exact machine configuration that produced it plus the full Result with
-// every cache, DRAM, DRC, and predictor counter.
-//
-// Deprecated: StatsRow is the versioned wire type results.Run; use that
-// package directly. The alias remains so pre-redesign callers keep
-// compiling.
-type StatsRow = results.Run
-
-// statsModes is the fixed mode order of a stats sweep.
-var statsModes = [...]cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
 
 // StatsSweep simulates every configured workload (default: the 11 SPEC
 // analogs) under all three architecture modes on the runner's worker pool
@@ -81,7 +68,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 			}
 			var rows [][]string
 			var cellInsts uint64
-			for _, mode := range statsModes {
+			for _, mode := range cpu.AllModes() {
 				res, ccfg, err := s.runMode(ctx, app, mode, cfg.MaxInsts, nil)
 				if err != nil {
 					return Cell{}, err
@@ -105,7 +92,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 			out = append(out, results.Run{
 				Workload: c.Name,
 				Seed:     CellSeed(cfg.Seed, s.exp, c.Name),
-				Error:    firstLine(c.Err),
+				Error:    FirstLine(c.Err),
 			})
 			continue
 		}
@@ -167,15 +154,6 @@ func runRow(name string, mode cpu.Mode, seed int64, ccfg cpu.Config, res cpu.Res
 		row.Ilr = &st
 	}
 	return row
-}
-
-// firstLine truncates an error message to its first line (panic values
-// carry whole stack traces).
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 func encodeStatsRow(r results.Run) (string, error) {

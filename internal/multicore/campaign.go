@@ -20,7 +20,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/workloads"
 )
 
 // Cell is one cores × tenants grid point.
@@ -69,7 +68,9 @@ func ParseCells(s string) ([]Cell, error) {
 type Config struct {
 	// Workloads is the tenant pool: tenant i of a cell runs workload
 	// Workloads[i%len], randomization epoch i/len (same program, fresh
-	// layout seed). Empty means DefaultWorkloads.
+	// layout seed). Empty means harness.CampaignWorkloads, the same three
+	// SPEC analogs the other campaigns use, behaviorally distinct enough
+	// that co-tenants genuinely fight over the shared L2.
 	Workloads []string
 	// Modes to evaluate; empty means all three architectures.
 	Modes []cpu.Mode
@@ -88,76 +89,25 @@ type Config struct {
 	MaxInsts uint64
 }
 
-// DefaultWorkloads is the canonical tenant pool: the same three SPEC analogs
-// the fault campaign uses, behaviorally distinct enough that co-tenants
-// genuinely fight over the shared L2.
-func DefaultWorkloads() []string { return []string{"bzip2", "sjeng", "xalan"} }
-
 // DefaultCells is the canonical grid: one cell isolating pure shared-L2
 // contention (every tenant alone on its core) and one isolating the
 // switch-in cost (two tenants time-sharing one core).
 func DefaultCells() []Cell { return []Cell{{Cores: 2, Tenants: 2}, {Cores: 1, Tenants: 2}} }
 
-// AllModes returns the three architecture modes in report order.
-func AllModes() []cpu.Mode {
-	return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
-}
-
-// ParseModes maps a CLI/request mode string onto the campaign's mode list.
-func ParseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "", "all":
-		return AllModes(), nil
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	}
-	return nil, fmt.Errorf("multicore: unknown mode %q (want baseline, naive, vcfr, or all)", s)
-}
-
 func (c Config) withDefaults() Config {
-	if len(c.Workloads) == 0 {
-		c.Workloads = DefaultWorkloads()
-	}
-	if len(c.Modes) == 0 {
-		c.Modes = AllModes()
-	}
+	harness.CampaignDefaults(&c.Workloads, &c.Modes, &c.Seed, &c.Scale, &c.Spread, &c.MaxInsts)
 	if len(c.Cells) == 0 {
 		c.Cells = DefaultCells()
 	}
 	if c.Quantum == 0 {
 		c.Quantum = cpu.DefaultQuantum
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Spread <= 0 {
-		c.Spread = 8
-	}
-	if c.MaxInsts == 0 {
-		c.MaxInsts = 25000
-	}
 	return c
 }
 
 func (c Config) validate() error {
-	for _, w := range c.Workloads {
-		if _, err := workloads.ByName(w, 1); err != nil {
-			return err
-		}
-	}
-	for _, m := range c.Modes {
-		switch m {
-		case cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR:
-		default:
-			return fmt.Errorf("multicore: unknown mode %v", m)
-		}
+	if err := harness.CheckCampaign("multicore", c.Workloads, c.Modes); err != nil {
+		return err
 	}
 	for _, cell := range c.Cells {
 		if cell.Cores < 1 || cell.Tenants < 1 {
@@ -360,9 +310,9 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		}
 		switch {
 		case s.err != nil:
-			row.Error = firstLine(s.err.Error())
+			row.Error = harness.FirstLine(s.err.Error())
 		case !s.done:
-			row.Error = firstLine(notExecuted(ctx).Error())
+			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "cell").Error())
 		default:
 			fillRow(&row, s.res)
 			soloIPC[u] = row.IPC
@@ -393,11 +343,11 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			}
 			switch {
 			case c.err != nil:
-				row.Error = firstLine(c.err.Error())
+				row.Error = harness.FirstLine(c.err.Error())
 			case !c.done:
-				row.Error = firstLine(notExecuted(ctx).Error())
+				row.Error = harness.FirstLine(harness.NotExecuted(ctx, "cell").Error())
 			case c.errs[t] != nil:
-				row.Error = firstLine(c.errs[t].Error())
+				row.Error = harness.FirstLine(c.errs[t].Error())
 			}
 			if c.done && t < len(c.out) {
 				res := c.out[t]
@@ -519,7 +469,7 @@ func (rep *Report) Envelope() results.Envelope {
 }
 
 // Table renders the report as the human-readable interference table
-// clustersim and experiments print: one row per tenant (solo references
+// `campaignsim -kind multicore` prints: one row per tenant (solo references
 // included), then the per-(cell, mode) totals, then the per-mode summary —
 // the headline comparison.
 func (rep *Report) Table() *harness.Table {
@@ -568,22 +518,6 @@ func (rep *Report) Table() *harness.Table {
 		})
 	}
 	return t
-}
-
-// notExecuted names why planned work never ran: the context's error when it
-// was cancelled, a generic marker otherwise.
-func notExecuted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return errors.New("cell not executed")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // round4 keeps the wire floats at 4 decimals so reports are byte-stable.

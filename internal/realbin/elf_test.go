@@ -94,6 +94,31 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// TestParseRejectsMemSizeWrap feeds a second PT_LOAD whose memsz is so
+// large that adding it to the text's size wraps the running total back
+// under the memory cap. The parser must refuse that program header by
+// index instead of trying to allocate it.
+func TestParseRejectsMemSizeWrap(t *testing.T) {
+	a := rvasm.New(0x10000)
+	a.Fn("_start")
+	a.Li("a0", 0)
+	a.Li("a7", 93)
+	a.Ecall()
+	a.Seg("data", 0x20000, true)
+	b := a.Emit("_start")
+	le := binary.LittleEndian
+	ph := b[64+56:]                     // program header 1: the data segment
+	le.PutUint64(ph[16:], 0)            // vaddr 0, so vaddr+memsz cannot wrap
+	le.PutUint64(ph[40:], ^uint64(0)-3) // memsz: 12 bytes of text + this wraps to 8
+	_, err := ParseELF(b)
+	if _, ok := err.(*ParseError); !ok {
+		t.Fatalf("error %T (%v), want *ParseError", err, err)
+	}
+	if !strings.Contains(err.Error(), "entry 1") || !strings.Contains(err.Error(), "exceeds limits") {
+		t.Errorf("error %q does not name program header entry 1 exceeding limits", err)
+	}
+}
+
 // TestParseNoSections accepts a sectionless image (no symbols).
 func TestParseNoSections(t *testing.T) {
 	a := rvasm.New(0x10000)

@@ -173,6 +173,7 @@ type rvSlot struct {
 	inst     RVInst
 	pad      bool // zero word (inter-function padding)
 	consumed bool // second half of an auipc pair
+	refused  bool // a refusal names this slot; lowering skips it
 	ops      []liftedInst
 	size     int
 	vxAddr   uint32
@@ -259,7 +260,13 @@ func (l *lifter) funcName(addr uint64) string {
 	return l.funcList[i-1].Name
 }
 
+// refuse records a refusal at addr and marks the slot there refused, so
+// later passes never lower it on the assumption that an earlier pass
+// accepted it.
 func (l *lifter) refuse(addr uint64, format string, args ...any) {
+	if i, ok := l.idxAt[addr]; ok {
+		l.slots[i].refused = true
+	}
 	l.refusals = append(l.refusals, Refusal{
 		Addr:   addr,
 		Func:   l.funcName(addr),
@@ -354,6 +361,7 @@ func (l *lifter) pairAUIPC() {
 		}
 		if l.targets[next.inst.Addr] {
 			l.refuse(next.inst.Addr, "branch target splits an auipc pair")
+			s.refused = true
 			continue
 		}
 		next.consumed = true

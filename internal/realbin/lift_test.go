@@ -290,6 +290,29 @@ func TestRefusals(t *testing.T) {
 	})
 }
 
+// TestRefusesTrailingAUIPC pins the refuse-then-continue contract: an
+// auipc in the last text slot has no successor to pair with, so the lift
+// must refuse it by address — and lowering must skip the refused slot
+// rather than read past the end of text.
+func TestRefusesTrailingAUIPC(t *testing.T) {
+	a := rvasm.New(0x10000)
+	a.Fn("_start")
+	exitCleanly(a)
+	site := a.PC()
+	a.Fixed(rvasm.EncU(0x17, rvasm.Reg("a0"), 0)) // auipc a0, 0 (last slot)
+	_, err := Load(a.Emit("_start"), "trailing-auipc")
+	re, ok := err.(*RefuseError)
+	if !ok {
+		t.Fatalf("error %T (%v), want *RefuseError", err, err)
+	}
+	for _, r := range re.Refusals {
+		if r.Addr == site && strings.Contains(r.Reason, "no pairable successor") && r.Func == "_start" {
+			return
+		}
+	}
+	t.Errorf("no refusal names the trailing auipc at %#x in _start: %v", site, re)
+}
+
 // TestWrongMachine rejects a non-RISC-V ELF before lifting.
 func TestWrongMachine(t *testing.T) {
 	a := rvasm.New(0x10000)

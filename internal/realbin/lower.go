@@ -48,14 +48,17 @@ func mov(rd, rs isa.Reg) isa.Inst       { return isa.Inst{Op: isa.OpMovRR, Rd: r
 func movi(rd isa.Reg, v int32) isa.Inst { return isa.Inst{Op: isa.OpMovRI, Rd: rd, Imm: v} }
 
 // lowerAll lowers every live slot and sizes the lowerings, gathering
-// refusals as it goes. Dropped instructions (writes to x0, fences, true
+// refusals as it goes. Slots an earlier pass already refused are skipped:
+// their diagnostic is recorded, and lowering them would re-read invariants
+// (a confirmed auipc pair, a decodable word) that the refusal says do not
+// hold. Dropped instructions (writes to x0, fences, true
 // nops) lower to zero bytes: a branch into one lands on the next
 // instruction's code, which matches the RV semantics of executing a
 // no-effect instruction and falling through.
 func (l *lifter) lowerAll() {
 	for i := range l.slots {
 		s := &l.slots[i]
-		if s.pad || s.consumed {
+		if s.pad || s.consumed || s.refused {
 			continue
 		}
 		s.ops = l.lowerSlot(i)
@@ -110,7 +113,7 @@ func (l *lifter) lowerSlot(i int) []liftedInst {
 		if in.Rd == rvZero {
 			return seq(isa.Inst{Op: isa.OpNop}) // landing pad: real, relocatable address
 		}
-		next := l.slots[i+1].inst // pairAUIPC guaranteed the pair
+		next := l.slots[i+1].inst // unrefused: pairAUIPC confirmed the pair
 		target := uint64(int64(in.Addr) + in.Imm + next.Imm)
 		if next.Op == rvJALR {
 			if !l.checkTarget(in.Addr, target, "far call") {

@@ -451,6 +451,27 @@ func NewMulticore(m Multicore) Envelope {
 	return Envelope{SchemaVersion: SchemaVersion, Kind: KindMulticore, Multicore: &m}
 }
 
+// Partial reports whether the document is incomplete: a sweep or campaign
+// marked partial, or a run envelope carrying an error row.
+func (e Envelope) Partial() bool {
+	switch {
+	case e.Sweep != nil:
+		return e.Sweep.Partial
+	case e.Campaign != nil:
+		return e.Campaign.Partial
+	case e.Attack != nil:
+		return e.Attack.Partial
+	case e.Multicore != nil:
+		return e.Multicore.Partial
+	}
+	for _, r := range e.Run {
+		if r.Failed() {
+			return true
+		}
+	}
+	return false
+}
+
 // Marshal is the one serialization path: two-space-indented JSON with a
 // trailing newline. Every producer must emit exactly these bytes, which is
 // what makes service responses and CLI output byte-comparable.

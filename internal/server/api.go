@@ -12,7 +12,7 @@ import (
 )
 
 // JobRequest is the body of POST /v1/jobs: the kind discriminator plus the
-// selected kind's parameters (the same fields the per-kind routes accept).
+// selected kind's parameters.
 type JobRequest struct {
 	// Kind selects the computation: run | sweep | faults | attacks | multicore.
 	Kind string `json:"kind"`
@@ -20,14 +20,14 @@ type JobRequest struct {
 }
 
 func parseKind(s string) (JobKind, error) {
-	switch k := JobKind(s); k {
-	case JobRun, JobSweep, JobFaults, JobAttacks, JobMulticore:
-		return k, nil
-	case "":
-		return "", fmt.Errorf(`job needs a "kind" (run, sweep, faults, attacks, or multicore)`)
-	default:
-		return "", fmt.Errorf("unknown job kind %q (want run, sweep, faults, attacks, or multicore)", s)
+	if s == "" {
+		return "", fmt.Errorf(`job needs a "kind" (%s)`, kindList(false))
 	}
+	spec, err := lookupKind(JobKind(s))
+	if err != nil {
+		return "", err
+	}
+	return spec.kind, nil
 }
 
 // handleJobs is the unified submission endpoint: every kind, one route, one

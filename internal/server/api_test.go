@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vcfr/internal/artifact"
+	"vcfr/internal/harness"
 	"vcfr/internal/results"
 )
 
@@ -48,26 +49,27 @@ func acceptedID(t *testing.T, body []byte) string {
 	return acc.ID
 }
 
-// TestJobsUnifiedVsAliases is the api_redesign acceptance test: every kind
-// submits through POST /v1/jobs, and for each kind with a legacy route the
-// result bytes are identical to the legacy submission's — the aliases are
-// thin shims over one submission path, not parallel implementations. The
-// aliases also announce their deprecation.
-func TestJobsUnifiedVsAliases(t *testing.T) {
+// TestJobsMatchInProcessRun is the unified API's acceptance test: every
+// kind submits through POST /v1/jobs, and the result bytes are identical to
+// the in-process Run of the same request — the path campaignsim prints —
+// so there is one execution path, not a service twin of each CLI. A run
+// job's bytes also equal the synchronous POST /v1/simulate response.
+func TestJobsMatchInProcessRun(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 16})
 
 	cases := []struct {
-		kind  string
-		alias string // "" = no async alias (run compares against /v1/simulate)
-		body  string
+		kind     JobKind
+		campaign bool // has a text table
+		body     string
 	}{
-		{"run", "", `{"workload": "bzip2", "mode": "vcfr", "instructions": 5000}`},
-		{"sweep", "/v1/sweep", `{"workloads": ["bzip2"], "instructions": 5000}`},
-		{"faults", "/v1/faults", `{"workloads": ["bzip2"], "mode": "vcfr", "injections": 4, "instructions": 5000}`},
-		{"attacks", "/v1/attacks", `{"workloads": ["bzip2"], "mode": "vcfr", "max_leaks": 4, "advance_insts": 500, "instructions": 5000}`},
+		{JobRun, false, `{"workload": "bzip2", "mode": "vcfr", "instructions": 5000}`},
+		{JobSweep, false, `{"workloads": ["bzip2"], "instructions": 5000}`},
+		{JobFaults, true, `{"workloads": ["bzip2"], "mode": "vcfr", "injections": 4, "instructions": 5000}`},
+		{JobAttacks, true, `{"workloads": ["bzip2"], "mode": "vcfr", "max_leaks": 4, "advance_insts": 500, "instructions": 5000}`},
+		{JobMulticore, true, `{"workloads": ["bzip2"], "mode": "vcfr", "cells": ["1c2t"], "quantum": 1000, "instructions": 5000}`},
 	}
 	for _, tc := range cases {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(string(tc.kind), func(t *testing.T) {
 			resp, body := post(t, s, "/v1/jobs", fmt.Sprintf(`{"kind": %q, %s`, tc.kind, tc.body[1:]))
 			if resp.StatusCode != http.StatusAccepted {
 				t.Fatalf("POST /v1/jobs: %d: %s", resp.StatusCode, body)
@@ -85,36 +87,33 @@ func TestJobsUnifiedVsAliases(t *testing.T) {
 				t.Fatalf("result: %d: %s", rresp.StatusCode, unified)
 			}
 
-			var legacy []byte
-			if tc.alias == "" {
-				resp, legacy = post(t, s, "/v1/simulate", tc.body)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("POST /v1/simulate: %d: %s", resp.StatusCode, legacy)
-				}
-			} else {
-				resp, body = post(t, s, tc.alias, tc.body)
-				if resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("POST %s: %d: %s", tc.alias, resp.StatusCode, body)
-				}
-				if resp.Header.Get("Deprecation") == "" {
-					t.Errorf("%s: no Deprecation header", tc.alias)
-				}
-				if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/jobs") {
-					t.Errorf("%s: Link = %q, want successor-version /v1/jobs", tc.alias, link)
-				}
-				lid := acceptedID(t, body)
-				if lv := pollJob(t, s, lid); lv.State != JobDone {
-					t.Fatalf("alias %s job failed: %s", tc.alias, lv.Error)
-				}
-				lresp, lbody := get(t, s, "/v1/jobs/"+lid+"/result")
-				if lresp.StatusCode != http.StatusOK {
-					t.Fatalf("alias result: %d: %s", lresp.StatusCode, lbody)
-				}
-				legacy = lbody
+			var req SimRequest
+			if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+				t.Fatal(err)
 			}
-			if string(unified) != string(legacy) {
-				t.Errorf("%s: /v1/jobs result differs from legacy route:\n--- jobs ---\n%.300s\n--- legacy ---\n%.300s",
-					tc.kind, unified, legacy)
+			rep, err := Run(context.Background(), harness.NewRunner(1), tc.kind, req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := results.Marshal(rep.Envelope())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(unified) != string(direct) {
+				t.Errorf("%s: /v1/jobs result differs from in-process Run:\n--- jobs ---\n%.300s\n--- run ---\n%.300s",
+					tc.kind, unified, direct)
+			}
+			if (rep.Table() != nil) != tc.campaign {
+				t.Errorf("%s: text table present = %v, want one exactly for campaigns", tc.kind, rep.Table() != nil)
+			}
+			if tc.kind == JobRun {
+				resp, sync := post(t, s, "/v1/simulate", tc.body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST /v1/simulate: %d: %s", resp.StatusCode, sync)
+				}
+				if string(unified) != string(sync) {
+					t.Errorf("run: /v1/jobs result differs from /v1/simulate")
+				}
 			}
 		})
 	}

@@ -7,16 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
 	"vcfr/internal/artifact"
-	"vcfr/internal/attack"
 	"vcfr/internal/cpu"
-	"vcfr/internal/fault"
 	"vcfr/internal/harness"
-	"vcfr/internal/multicore"
 	"vcfr/internal/results"
 	"vcfr/internal/workloads"
 )
@@ -33,13 +29,13 @@ const (
 	// service twin of `experiments -stats-json`.
 	JobSweep JobKind = "sweep"
 	// JobFaults is a fault-injection campaign — the service twin of
-	// `faultsim -json` and `experiments -mode faults`.
+	// `campaignsim -kind faults -json`.
 	JobFaults JobKind = "faults"
 	// JobAttacks is an adversary-in-the-loop attack campaign — the service
-	// twin of `attacksim -json` and `experiments -mode attacks`.
+	// twin of `campaignsim -kind attacks -json`.
 	JobAttacks JobKind = "attacks"
 	// JobMulticore is a multi-tenant interference campaign — the service
-	// twin of `clustersim -json` and `experiments -mode multicore`.
+	// twin of `campaignsim -kind multicore -json`.
 	JobMulticore JobKind = "multicore"
 )
 
@@ -55,9 +51,10 @@ const (
 	JobFailed  JobState = "failed"
 )
 
-// SimRequest is the body of POST /v1/simulate and POST /v1/sweep. Absent
-// fields take the matching CLI's defaults (documented per field), which is
-// what keeps service responses byte-identical to CLI output. The numeric
+// SimRequest is the body of POST /v1/simulate and, with a kind, of POST
+// /v1/jobs; campaignsim fills one from its flags. Absent fields take the
+// matching CLI's defaults (documented per field), which is what keeps
+// service responses byte-identical to CLI output. The numeric
 // tuning knobs are pointers so that presence, not value, selects the
 // default: `"seed": 0` means literally seed 0 (handled downstream exactly
 // as the CLIs handle `-seed 0`), while omitting seed means the default.
@@ -92,7 +89,7 @@ type SimRequest struct {
 	// service twin of vcfrsim -interval). Default 0 (off).
 	Interval uint64 `json:"interval,omitempty"`
 	// Injections per (workload, mode) cell of a fault campaign. Default
-	// 120 (faultsim's default). Ignored by simulate and sweep.
+	// 120. Ignored by simulate and sweep.
 	Injections int `json:"injections,omitempty"`
 	// Faults restricts a campaign to a subset of the fault model (kind
 	// names as in internal/fault). Default: the full model. Ignored by
@@ -105,7 +102,7 @@ type SimRequest struct {
 	// attacks jobs read it.
 	Payloads []string `json:"payloads,omitempty"`
 	// LeakBudget is the attack campaign's canonical disclosure allowance.
-	// Default 16 (attacksim's default). Only attacks jobs read it.
+	// Default 16. Only attacks jobs read it.
 	LeakBudget int `json:"leak_budget,omitempty"`
 	// MaxLeaks caps each attack arm's leak ops. Default 0 (derive from the
 	// cell's universe). Only attacks jobs read it.
@@ -117,68 +114,41 @@ type SimRequest struct {
 	// ops. Default 2000. Only attacks jobs read it.
 	AdvanceInsts uint64 `json:"advance_insts,omitempty"`
 	// Cells restricts a multicore campaign to a cores×tenants grid subset
-	// ("2c4t" form, as clustersim -cells). Default: the canonical grid.
+	// ("2c4t" form, as campaignsim -cells). Default: the canonical grid.
 	// Only multicore jobs read it.
 	Cells []string `json:"cells,omitempty"`
 	// Quantum is the multicore scheduler's time slice in committed
-	// instructions. Default 10000 (clustersim's default). Only multicore
-	// jobs read it.
+	// instructions. Default 10000. Only multicore jobs read it.
 	Quantum uint64 `json:"quantum,omitempty"`
 	// TimeoutMS bounds the job's execution wall clock, refining the
 	// server's default job timeout. 0 = server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// normalize applies the per-kind CLI defaults to absent fields and
-// validates the request. After it returns nil, every pointer field is
-// non-nil.
+// normalize applies the kind's CLI defaults to absent fields and validates
+// the request. After it returns nil, every pointer field is non-nil.
 func (r *SimRequest) normalize(kind JobKind) error {
+	spec, err := lookupKind(kind)
+	if err != nil {
+		return err
+	}
 	if r.Mode == "" {
 		r.Mode = "vcfr"
-		if kind == JobFaults || kind == JobAttacks || kind == JobMulticore {
-			// A campaign's point is the cross-mode comparison; default to all
-			// three architectures (the campaign CLIs' -mode default).
+		if spec.campaign {
 			r.Mode = "all"
 		}
 	}
-	if _, err := parseModes(r.Mode); err != nil {
+	modes, err := cpu.ParseModes(r.Mode)
+	if err != nil {
 		return err
 	}
-	if kind == JobFaults {
-		if _, err := fault.ParseKinds(r.Faults); err != nil {
+	if spec.check != nil {
+		if err := spec.check(r); err != nil {
 			return err
-		}
-		if r.Injections < 0 {
-			return fmt.Errorf("injections must be >= 0")
-		}
-		if r.Bits < 0 {
-			return fmt.Errorf("bits must be >= 0")
-		}
-	}
-	if kind == JobMulticore && len(r.Cells) > 0 {
-		if _, err := multicore.ParseCells(strings.Join(r.Cells, ",")); err != nil {
-			return err
-		}
-	}
-	if kind == JobAttacks {
-		if _, err := attack.ParsePayloads(r.Payloads); err != nil {
-			return err
-		}
-		if r.LeakBudget < 0 {
-			return fmt.Errorf("leak_budget must be >= 0")
-		}
-		if r.MaxLeaks < 0 {
-			return fmt.Errorf("max_leaks must be >= 0")
-		}
-		if r.RerandEvery < 0 {
-			return fmt.Errorf("rerand_every must be >= 0")
 		}
 	}
 	if r.Seed == nil {
-		seed := int64(1)
-		if kind != JobRun {
-			seed = 42
-		}
+		seed := spec.seed
 		r.Seed = &seed
 	}
 	if r.Spread == nil {
@@ -197,14 +167,6 @@ func (r *SimRequest) normalize(kind JobKind) error {
 		width := 1
 		r.Width = &width
 	}
-	if kind == JobRun {
-		if r.Workload == "" {
-			return fmt.Errorf("simulate needs a workload")
-		}
-		if _, err := workloads.ByName(r.Workload, 1); err != nil {
-			return err
-		}
-	}
 	for _, w := range r.Workloads {
 		if _, err := workloads.ByName(w, 1); err != nil {
 			return err
@@ -215,11 +177,9 @@ func (r *SimRequest) normalize(kind JobKind) error {
 	}
 	// Machine-config bounds live in exactly one place — cpu.Config.Validate,
 	// the same check vcfrsim applies to its flags — so a bad drc or width in a
-	// request body fails with the same message a bad CLI flag gets. Sweeps
-	// ignore Mode and always run all three architectures.
-	modes := statsModes
-	if kind == JobRun {
-		modes, _ = parseModes(r.Mode)
+	// request body fails with the same message a bad CLI flag gets.
+	if !spec.requestModes {
+		modes = cpu.AllModes()
 	}
 	mutate := r.mutate()
 	for _, m := range modes {
@@ -231,9 +191,6 @@ func (r *SimRequest) normalize(kind JobKind) error {
 	}
 	return nil
 }
-
-// statsModes is the fixed mode set of a sweep (mirrors harness.StatsSweep).
-var statsModes = []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}
 
 // mutate returns the machine-config mutation the request describes —
 // field-for-field the same closure vcfrsim builds from its flags. Call
@@ -257,85 +214,6 @@ func (r *SimRequest) config() harness.Config {
 		MaxInsts:  r.Instructions,
 		Seed:      *r.Seed,
 		Spread:    *r.Spread,
-	}
-}
-
-// faultConfig maps the request onto a fault campaign config. Call only
-// after normalize has filled the pointer fields. The campaign runs the
-// default machine configuration per mode (like faultsim), so the machine
-// tuning knobs (drc, width, ctxswitch, interval) do not apply here.
-func (r *SimRequest) faultConfig() fault.Config {
-	modes, _ := fault.ParseModes(r.Mode)
-	kinds, _ := fault.ParseKinds(r.Faults)
-	return fault.Config{
-		Workloads:  r.Workloads,
-		Modes:      modes,
-		Kinds:      kinds,
-		Injections: r.Injections,
-		Seed:       *r.Seed,
-		Scale:      *r.Scale,
-		Spread:     *r.Spread,
-		MaxInsts:   r.Instructions,
-		Bits:       r.Bits,
-	}
-}
-
-// attackConfig maps the request onto an attack campaign config. Call only
-// after normalize has filled the pointer fields. Like faultConfig, the
-// campaign runs the default machine configuration per mode, so the machine
-// tuning knobs do not apply here.
-func (r *SimRequest) attackConfig() attack.Config {
-	modes, _ := attack.ParseModes(r.Mode)
-	payloads, _ := attack.ParsePayloads(r.Payloads)
-	return attack.Config{
-		Workloads:    r.Workloads,
-		Modes:        modes,
-		Payloads:     payloads,
-		Seed:         *r.Seed,
-		Scale:        *r.Scale,
-		Spread:       *r.Spread,
-		MaxInsts:     r.Instructions,
-		LeakBudget:   r.LeakBudget,
-		MaxLeaks:     r.MaxLeaks,
-		RerandEvery:  r.RerandEvery,
-		AdvanceInsts: r.AdvanceInsts,
-	}
-}
-
-// multicoreConfig maps the request onto a multicore campaign config. Call
-// only after normalize has filled the pointer fields. Like faultConfig, the
-// campaign runs the default machine configuration per mode, so the machine
-// tuning knobs do not apply here.
-func (r *SimRequest) multicoreConfig() multicore.Config {
-	modes, _ := multicore.ParseModes(r.Mode)
-	var cells []multicore.Cell
-	if len(r.Cells) > 0 {
-		cells, _ = multicore.ParseCells(strings.Join(r.Cells, ","))
-	}
-	return multicore.Config{
-		Workloads: r.Workloads,
-		Modes:     modes,
-		Cells:     cells,
-		Quantum:   r.Quantum,
-		Seed:      *r.Seed,
-		Scale:     *r.Scale,
-		Spread:    *r.Spread,
-		MaxInsts:  r.Instructions,
-	}
-}
-
-func parseModes(s string) ([]cpu.Mode, error) {
-	switch s {
-	case "baseline":
-		return []cpu.Mode{cpu.ModeBaseline}, nil
-	case "naive":
-		return []cpu.Mode{cpu.ModeNaiveILR}, nil
-	case "vcfr":
-		return []cpu.Mode{cpu.ModeVCFR}, nil
-	case "all":
-		return []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR}, nil
-	default:
-		return nil, fmt.Errorf("unknown mode %q (want baseline, naive, vcfr, or all)", s)
 	}
 }
 
@@ -625,47 +503,18 @@ func (s *Server) envelopeStore(key string, body []byte) {
 }
 
 // execute is the production job executor (tests substitute s.exec): the
-// service is a thin HTTP shell around exactly the entry points the CLIs
-// use, which is what pins service responses to CLI output byte for byte.
+// service is a thin HTTP shell around the kind table's run functions, the
+// same code campaignsim calls through Run, which is what pins service
+// responses to CLI output byte for byte.
 func (s *Server) execute(ctx context.Context, j *Job) (results.Envelope, error) {
-	switch j.Kind {
-	case JobRun:
-		modes, err := parseModes(j.Req.Mode)
-		if err != nil {
-			return results.Envelope{}, err
-		}
-		rows, err := harness.SimulateRuns(ctx, s.runner, j.Req.Workload, modes, j.Req.config(), j.Req.mutate())
-		if err != nil {
-			return results.Envelope{}, err
-		}
-		return results.NewRun(rows...), nil
-	case JobSweep:
-		rows, err := harness.StatsSweepProgress(ctx, s.runner, j.Req.config(), j.setProgress)
-		if err != nil {
-			return results.Envelope{}, err
-		}
-		return results.NewSweep(rows), nil
-	case JobFaults:
-		rep, err := fault.RunCampaign(ctx, s.runner, j.Req.faultConfig(), j.setProgress)
-		if err != nil {
-			return results.Envelope{}, err
-		}
-		s.metrics.campaignFinished(rep.Totals)
-		return rep.Envelope(), nil
-	case JobAttacks:
-		rep, err := attack.RunCampaign(ctx, s.runner, j.Req.attackConfig(), j.setProgress)
-		if err != nil {
-			return results.Envelope{}, err
-		}
-		s.metrics.attackCampaignFinished(rep.Totals)
-		return rep.Envelope(), nil
-	case JobMulticore:
-		rep, err := multicore.RunCampaign(ctx, s.runner, j.Req.multicoreConfig(), j.setProgress)
-		if err != nil {
-			return results.Envelope{}, err
-		}
-		return rep.Envelope(), nil
-	default:
-		return results.Envelope{}, fmt.Errorf("unknown job kind %q", j.Kind)
+	spec, err := lookupKind(j.Kind)
+	if err != nil {
+		return results.Envelope{}, err
 	}
+	rep, err := spec.run(ctx, s.runner, &j.Req, j.setProgress)
+	if err != nil {
+		return results.Envelope{}, err
+	}
+	s.metrics.jobReported(rep)
+	return rep.Envelope(), nil
 }

@@ -126,22 +126,19 @@ func (m *metrics) jobStarted(queueWait time.Duration) {
 	m.queueWait.observe(queueWait.Seconds())
 }
 
-// campaignFinished folds one finished campaign's outcome totals into the
-// cumulative fault.* counters.
-func (m *metrics) campaignFinished(st fault.Stats) {
+// jobReported folds a finished fault or attack campaign's totals into the
+// cumulative fault.* or attack.* counters; other reports carry none.
+func (m *metrics) jobReported(rep Report) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.campaigns++
-	m.faults.Merge(st)
-}
-
-// attackCampaignFinished folds one finished attack campaign's activity
-// totals into the cumulative attack.* counters.
-func (m *metrics) attackCampaignFinished(st attack.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.attackCampaigns++
-	m.attacks.Merge(st)
+	switch rep := rep.(type) {
+	case *fault.Report:
+		m.campaigns++
+		m.faults.Merge(rep.Totals)
+	case *attack.Report:
+		m.attackCampaigns++
+		m.attacks.Merge(rep.Totals)
+	}
 }
 
 // retryAfter estimates, in whole seconds, how long a refused client should

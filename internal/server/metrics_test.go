@@ -24,9 +24,9 @@ func TestMetricsRegistryExactlyOnce(t *testing.T) {
 	m.jobAccepted()
 	m.jobStarted(5 * time.Millisecond)
 	m.jobFinished(true, 80*time.Millisecond)
-	m.campaignFinished(fault.Stats{Injected: 4, DetectedUnmappedR: 3, Masked: 1})
-	m.attackCampaignFinished(attack.Stats{ChainsBuilt: 5, ChainsFired: 5,
-		Successes: 2, BlockedRPC: 3, Leaks: 40, Rerandomizations: 8})
+	m.jobReported(&fault.Report{Totals: fault.Stats{Injected: 4, DetectedUnmappedR: 3, Masked: 1}})
+	m.jobReported(&attack.Report{Totals: attack.Stats{ChainsBuilt: 5, ChainsFired: 5,
+		Successes: 2, BlockedRPC: 3, Leaks: 40, Rerandomizations: 8}})
 
 	var b strings.Builder
 	m.render(&b, 3, 16, 7, 2, 4096, 5)
@@ -79,11 +79,11 @@ func TestMetricsRenderFormat(t *testing.T) {
 	m.jobFinished(false, 200*time.Millisecond)
 	m.jobPanicked()
 	m.jobRejected()
-	m.campaignFinished(fault.Stats{Injected: 10, DetectedUnmappedR: 6,
-		DetectedIllegal: 2, Crashes: 1, SilentCorruptions: 1})
-	m.attackCampaignFinished(attack.Stats{ChainsBuilt: 7, ChainsFired: 6,
+	m.jobReported(&fault.Report{Totals: fault.Stats{Injected: 10, DetectedUnmappedR: 6,
+		DetectedIllegal: 2, Crashes: 1, SilentCorruptions: 1}})
+	m.jobReported(&attack.Report{Totals: attack.Stats{ChainsBuilt: 7, ChainsFired: 6,
 		Successes: 2, BlockedRPC: 3, BlockedIllegal: 1, Leaks: 55,
-		CodePages: 40, MapPages: 15, Rerandomizations: 9})
+		CodePages: 40, MapPages: 15, Rerandomizations: 9}})
 
 	// The realbin counters are process-wide and refreshed into the metrics
 	// mirror at render time. Lift a fixture so they are provably nonzero,

@@ -1,17 +1,18 @@
 // Package server implements vcfrd, the long-running HTTP/JSON simulation
-// service: it accepts simulation, sweep, and fault-campaign jobs, runs them
-// on a shared
-// harness.Runner whose trace cache turns repeated timing-only queries into
-// replays, and answers every request in the one versioned wire format of
-// internal/results.
+// service: it accepts simulation, sweep, and campaign jobs, runs them on a
+// shared harness.Runner whose trace cache turns repeated timing-only queries
+// into replays, and answers every request in the one versioned wire format
+// of internal/results. Every job kind is one entry of the kind table
+// (kinds.go), which campaignsim and the fleet coordinator read too.
 //
 // Endpoints:
 //
 //	POST /v1/jobs       unified asynchronous submission: one body with a
 //	                    "kind" discriminator (run | sweep | faults |
-//	                    attacks) plus the kind's parameters; returns 202
-//	                    and a job id. Honors Idempotency-Key: a retried
-//	                    POST with the same key dedupes to the original job.
+//	                    attacks | multicore) plus the kind's parameters;
+//	                    returns 202 and a job id. Honors Idempotency-Key:
+//	                    a retried POST with the same key dedupes to the
+//	                    original job.
 //	GET  /v1/jobs       list jobs over the retention window, with ?state=
 //	                    filtering and ?cursor=/?limit= pagination
 //	GET  /v1/jobs/{id}  job state, timings, error, and (when done) result
@@ -28,9 +29,6 @@
 //	POST /v1/simulate   one workload, one layout seed — synchronous; the
 //	                    response body is byte-identical to the equivalent
 //	                    `vcfrsim -stats-json` invocation
-//	POST /v1/sweep      deprecated alias of POST /v1/jobs {"kind":"sweep"}
-//	POST /v1/faults     deprecated alias of POST /v1/jobs {"kind":"faults"}
-//	POST /v1/attacks    deprecated alias of POST /v1/jobs {"kind":"attacks"}
 //	GET/PUT /v1/artifacts/{ns}/{key}
 //	                    the content-addressed artifact store (traces,
 //	                    result envelopes), when one is configured — how
@@ -188,9 +186,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobsList)
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/faults", s.handleFaults)
-	s.mux.HandleFunc("POST /v1/attacks", s.handleAttacks)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
@@ -446,33 +441,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Job-Id", j.ID)
 	_, _ = w.Write(body)
-}
-
-// handleSweep, handleFaults, and handleAttacks are the pre-/v1/jobs
-// submission routes, kept as thin aliases: same decode, same queue, same
-// job — only a Deprecation header distinguishes them from the unified
-// endpoint they forward to.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.handleDeprecatedAlias(w, r, JobSweep)
-}
-
-func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
-	s.handleDeprecatedAlias(w, r, JobFaults)
-}
-
-func (s *Server) handleAttacks(w http.ResponseWriter, r *http.Request) {
-	s.handleDeprecatedAlias(w, r, JobAttacks)
-}
-
-func (s *Server) handleDeprecatedAlias(w http.ResponseWriter, r *http.Request, kind JobKind) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/jobs>; rel="successor-version"`)
-	req, err := decodeRequest(r, kind)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
-	}
-	s.submitAsync(w, r, kind, req)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

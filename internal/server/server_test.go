@@ -164,7 +164,7 @@ func TestBackpressure429(t *testing.T) {
 
 	// Job 1 occupies the single worker; wait until it is actually running
 	// so job 2 deterministically sits in the queue.
-	if resp, b := post(t, s, "/v1/sweep", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "sweep"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: %d: %s", resp.StatusCode, b)
 	}
 	select {
@@ -172,12 +172,12 @@ func TestBackpressure429(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("job 1 never started")
 	}
-	if resp, b := post(t, s, "/v1/sweep", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "sweep"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2: %d: %s", resp.StatusCode, b)
 	}
 
 	// Queue (depth 1) is full: job 3 must bounce with backpressure.
-	resp, body := post(t, s, "/v1/sweep", `{}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -208,7 +208,7 @@ func TestBackpressure429(t *testing.T) {
 	// Once the queue drains, intake works again.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, _ := post(t, s, "/v1/sweep", `{}`)
+		resp, _ := post(t, s, "/v1/jobs", `{"kind": "sweep"}`)
 		if resp.StatusCode == http.StatusAccepted {
 			break
 		}
@@ -231,7 +231,7 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, body := post(t, s, "/v1/sweep", `{}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
 	}
@@ -412,7 +412,7 @@ func TestPanicIsolation(t *testing.T) {
 // checks the result envelope parses under the pinned schema.
 func TestJobEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := post(t, s, "/v1/sweep", `{"workloads": ["lbm"], "instructions": 20000}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "sweep", "workloads": ["lbm"], "instructions": 20000}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
 	}
@@ -480,11 +480,11 @@ func pollJob(t *testing.T, s *Server, id string) jobView {
 // TestFaultsEndpointLifecycle follows a fault campaign from 202 through done
 // and pins the acceptance criterion for the service surface: the finished
 // result must be byte-identical to what fault.RunCampaign emits for the same
-// config (which is what `faultsim -json` prints).
+// config (which is what `campaignsim -kind faults -json` prints).
 func TestFaultsEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := post(t, s, "/v1/faults",
-		`{"workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "instructions": 5000}`)
+	resp, body := post(t, s, "/v1/jobs",
+		`{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "instructions": 5000}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("faults: %d: %s", resp.StatusCode, body)
 	}
@@ -504,7 +504,7 @@ func TestFaultsEndpointLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v, want all injections done", v.Progress)
 	}
 
-	// The CLI equivalent: faultsim -workloads bzip2 -mode vcfr
+	// The CLI equivalent: campaignsim -kind faults -workloads bzip2 -mode vcfr
 	// -injections 10 -instructions 5000 (defaults: seed 42, spread 8).
 	rep, err := fault.RunCampaign(context.Background(), harness.NewRunner(1), fault.Config{
 		Workloads:  []string{"bzip2"},
@@ -548,11 +548,11 @@ func TestFaultsEndpointLifecycle(t *testing.T) {
 // TestAttacksEndpointLifecycle follows an attack campaign from 202 through
 // done and pins the same acceptance criterion as the faults surface: the
 // finished result must be byte-identical to what attack.RunCampaign emits for
-// the same config (which is what `attacksim -json` prints).
+// the same config (which is what `campaignsim -kind attacks -json` prints).
 func TestAttacksEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
-	resp, body := post(t, s, "/v1/attacks",
-		`{"workloads": ["bzip2"], "mode": "vcfr", "payloads": ["print-and-exit"]}`)
+	resp, body := post(t, s, "/v1/jobs",
+		`{"kind": "attacks", "workloads": ["bzip2"], "mode": "vcfr", "payloads": ["print-and-exit"]}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("attacks: %d: %s", resp.StatusCode, body)
 	}
@@ -572,7 +572,7 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v, want all cells done", v.Progress)
 	}
 
-	// The CLI equivalent: attacksim -workloads bzip2 -mode vcfr
+	// The CLI equivalent: campaignsim -kind attacks -workloads bzip2 -mode vcfr
 	// -payloads print-and-exit (defaults: seed 42, spread 8, budget 16).
 	rep, err := attack.RunCampaign(context.Background(), harness.NewRunner(1), attack.Config{
 		Workloads: []string{"bzip2"},
@@ -610,10 +610,10 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 	}
 
 	// Request validation rides the same vocabulary as the CLI flags.
-	if resp, _ := post(t, s, "/v1/attacks", `{"payloads": ["rootkit"]}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := post(t, s, "/v1/jobs", `{"kind": "attacks", "payloads": ["rootkit"]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad payload accepted: %d", resp.StatusCode)
 	}
-	if resp, _ := post(t, s, "/v1/attacks", `{"leak_budget": -1}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := post(t, s, "/v1/jobs", `{"kind": "attacks", "leak_budget": -1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative leak_budget accepted: %d", resp.StatusCode)
 	}
 }
@@ -622,7 +622,7 @@ func TestAttacksEndpointLifecycle(t *testing.T) {
 // through the unified jobs route from 202 through done and pins the
 // acceptance criterion for the service surface: the finished result must be
 // byte-identical to what multicore.RunCampaign emits for the same config
-// (which is what `clustersim -json` prints).
+// (which is what `campaignsim -kind multicore -json` prints).
 func TestMulticoreEndpointLifecycle(t *testing.T) {
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8})
 	resp, body := post(t, s, "/v1/jobs",
@@ -643,7 +643,7 @@ func TestMulticoreEndpointLifecycle(t *testing.T) {
 		t.Errorf("final progress = %+v, want all units done", v.Progress)
 	}
 
-	// The CLI equivalent: clustersim -workloads bzip2 -mode vcfr -cells 1c2t
+	// The CLI equivalent: campaignsim -kind multicore -workloads bzip2 -mode vcfr -cells 1c2t
 	// -quantum 1000 -instructions 5000 (defaults: seed 42, spread 8).
 	rep, err := multicore.RunCampaign(context.Background(), harness.NewRunner(1), multicore.Config{
 		Workloads: []string{"bzip2"},
@@ -690,7 +690,7 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	realExec := s.exec
 	s.exec = blockingExec(started, release)
 
-	if resp, b := post(t, s, "/v1/faults", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "faults"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 1: %d: %s", resp.StatusCode, b)
 	}
 	select {
@@ -698,10 +698,10 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("job 1 never started")
 	}
-	if resp, b := post(t, s, "/v1/faults", `{}`); resp.StatusCode != http.StatusAccepted {
+	if resp, b := post(t, s, "/v1/jobs", `{"kind": "faults"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job 2: %d: %s", resp.StatusCode, b)
 	}
-	resp, body := post(t, s, "/v1/faults", `{}`)
+	resp, body := post(t, s, "/v1/jobs", `{"kind": "faults"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("job 3: %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -717,8 +717,8 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var accepted struct{ ID string }
 	for {
-		resp, body = post(t, s, "/v1/faults",
-			`{"workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "timeout_ms": 1}`)
+		resp, body = post(t, s, "/v1/jobs",
+			`{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 10, "timeout_ms": 1}`)
 		if resp.StatusCode == http.StatusAccepted {
 			break
 		}
@@ -763,14 +763,14 @@ func TestFaultsBackpressureAndCancellation(t *testing.T) {
 func TestFaultsRequestValidation(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, QueueDepth: 2})
 	for _, tc := range []struct{ name, body string }{
-		{"unknown fault kind", `{"faults": ["cosmic-ray"]}`},
-		{"unknown workload", `{"workloads": ["doom"]}`},
-		{"unknown mode", `{"mode": "quantum"}`},
-		{"negative injections", `{"injections": -1}`},
-		{"negative bits", `{"bits": -2}`},
-		{"unknown field", `{"turbo": true}`},
+		{"unknown fault kind", `{"kind": "faults", "faults": ["cosmic-ray"]}`},
+		{"unknown workload", `{"kind": "faults", "workloads": ["doom"]}`},
+		{"unknown mode", `{"kind": "faults", "mode": "quantum"}`},
+		{"negative injections", `{"kind": "faults", "injections": -1}`},
+		{"negative bits", `{"kind": "faults", "bits": -2}`},
+		{"unknown field", `{"kind": "faults", "turbo": true}`},
 	} {
-		if resp, b := post(t, s, "/v1/faults", tc.body); resp.StatusCode != http.StatusBadRequest {
+		if resp, b := post(t, s, "/v1/jobs", tc.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: %d (%s), want 400", tc.name, resp.StatusCode, b)
 		}
 	}

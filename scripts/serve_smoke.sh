@@ -2,11 +2,11 @@
 # Smoke test for vcfrd: boot the service, hit every endpoint once, prove the
 # simulate response is byte-identical to vcfrsim -stats-json, prove a
 # timing-only repeat is served from the trace cache, exercise the unified
-# /v1/jobs API and its deprecated aliases, prove a kind=multicore job's
-# envelope is byte-identical to clustersim -json, boot a 1-coordinator +
-# 2-worker fleet and prove a sharded fault campaign merges byte-identically
-# to faultsim -json, and prove SIGTERM drains cleanly. Exits non-zero on the
-# first failure.
+# /v1/jobs API (the retired per-kind routes must be gone), boot a
+# 1-coordinator + 2-worker fleet and prove a sharded fault campaign merges
+# byte-identically to campaignsim -kind faults -json, and prove SIGTERM
+# drains cleanly. Per-kind campaign identity lives in campaign_smoke.sh.
+# Exits non-zero on the first failure.
 set -eu
 
 GO="${GO:-go}"
@@ -78,31 +78,17 @@ JOB="$(curl -fsS -d '{"kind": "sweep", "workloads": ["lbm"], "instructions": 500
 [ -n "$JOB" ] || { echo "/v1/jobs returned no job id"; exit 1; }
 poll_job "$ADDR" "$JOB"
 
-echo "== deprecated alias still works and says so"
-curl -fsS -D "$TMP/alias.hdr" -d '{"workloads": ["lbm"], "instructions": 50000}' \
-    "http://$ADDR/v1/sweep" >"$TMP/alias.json"
-grep -qi '^Deprecation:' "$TMP/alias.hdr" || { echo "alias without Deprecation header"; exit 1; }
-ALIAS_JOB="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$TMP/alias.json")"
-poll_job "$ADDR" "$ALIAS_JOB"
-curl -fsS "http://$ADDR/v1/jobs/$JOB/result" >"$TMP/unified.json"
-curl -fsS "http://$ADDR/v1/jobs/$ALIAS_JOB/result" >"$TMP/aliased.json"
-cmp "$TMP/unified.json" "$TMP/aliased.json"
+echo "== the retired per-kind routes are gone"
+for route in sweep faults attacks; do
+    CODE="$(curl -sS -o /dev/null -w '%{http_code}' -d '{}' "http://$ADDR/v1/$route")"
+    [ "$CODE" = "404" ] || { echo "POST /v1/$route answered $CODE, want 404"; exit 1; }
+done
 
 echo "== job listing paginates"
 curl -fsS "http://$ADDR/v1/jobs?state=done&limit=1" | grep -q '"jobs"'
 
 echo "== workloads catalog"
 curl -fsS "http://$ADDR/v1/workloads" | grep -q '"name"'
-
-echo "== multicore campaign via POST /v1/jobs is byte-identical to clustersim -json"
-MREQ='{"kind": "multicore", "workloads": ["bzip2", "sjeng"], "mode": "vcfr", "cells": ["1c2t"], "quantum": 2000, "instructions": 10000}'
-MJOB="$(curl -fsS -d "$MREQ" "http://$ADDR/v1/jobs" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
-[ -n "$MJOB" ] || { echo "/v1/jobs returned no multicore job id"; exit 1; }
-poll_job "$ADDR" "$MJOB"
-curl -fsS "http://$ADDR/v1/jobs/$MJOB/result" >"$TMP/multicore.json"
-"$GO" run ./cmd/clustersim -workloads bzip2,sjeng -mode vcfr -cells 1c2t \
-    -quantum 2000 -instructions 10000 -json >"$TMP/multicore-cli.json"
-cmp "$TMP/multicore.json" "$TMP/multicore-cli.json"
 
 echo "== fleet: 2 workers + 1 coordinator, sharded campaign merges byte-identically"
 W1="$(start_vcfrd worker1)"
@@ -115,7 +101,7 @@ FJOB="$(curl -fsS -d "$FREQ" "http://$CO/v1/jobs" | sed -n 's/.*"id": *"\([^"]*\
 [ -n "$FJOB" ] || { echo "coordinator returned no job id"; exit 1; }
 poll_job "$CO" "$FJOB"
 curl -fsS "http://$CO/v1/jobs/$FJOB/result" >"$TMP/fleet.json"
-"$GO" run ./cmd/faultsim -workloads bzip2,sjeng -mode vcfr -injections 20 \
+"$GO" run ./cmd/campaignsim -kind faults -workloads bzip2,sjeng -mode vcfr -injections 20 \
     -instructions 10000 -json >"$TMP/fleet-cli.json"
 cmp "$TMP/fleet.json" "$TMP/fleet-cli.json"
 
