@@ -103,13 +103,11 @@ experiments:
 results:
 	$(GO) run ./cmd/experiments -experiment all | tee docs/RESULTS.txt
 
-# Record-once/replay-many demo: capture a trace, inspect it, replay it
-# against two DRC sizes (see docs/EXPERIMENTS.md).
+# Trace demo: capture one run into a .vxt file and inspect its header
+# (see EXPERIMENTS.md).
 trace:
 	$(GO) run ./cmd/vxtrace record -workload h264ref -mode vcfr -instructions 120000 -o /tmp/h264ref.vxt
 	$(GO) run ./cmd/vxtrace info /tmp/h264ref.vxt
-	$(GO) run ./cmd/vxtrace replay /tmp/h264ref.vxt
-	$(GO) run ./cmd/vxtrace replay -drc 64 /tmp/h264ref.vxt
 
 # Run the simulation service in the foreground (SIGINT/SIGTERM drain).
 serve:

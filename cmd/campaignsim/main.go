@@ -44,7 +44,6 @@ import (
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
 	"vcfr/internal/server"
-	"vcfr/internal/trace"
 )
 
 func main() {
@@ -67,7 +66,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		spread      = fs.Int("spread", 0, "ILR scatter factor (0 = default)")
 		maxInsts    = fs.Uint64("instructions", 0, "per-run instruction cap: reference run, fired run, or tenant (0 = default 25000)")
 		workers     = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
-		traceCache  = fs.Int("trace-cache", 256, "in-memory trace cache budget in MiB for the fault campaign's clean references (0 disables)")
 		jsonOut     = fs.Bool("json", false, "emit the campaign as a versioned results envelope instead of a text table")
 		faultsF     = fs.String("faults", "", "faults: comma-separated fault kinds (default: the full fault model)")
 		injections  = fs.Int("injections", 0, "faults: injections per workload x mode cell (0 = default 120)")
@@ -112,11 +110,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Quantum:      *quantum,
 	}
 
-	r := harness.NewRunner(*workers)
-	if *traceCache > 0 {
-		r.Traces = trace.NewCache(int64(*traceCache) << 20)
-	}
-	rep, err := server.Run(ctx, r, kind, req, nil)
+	rep, err := server.Run(ctx, harness.NewRunner(*workers), kind, req, nil)
 	if err != nil {
 		return err
 	}

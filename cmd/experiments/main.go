@@ -36,7 +36,6 @@ import (
 
 	"vcfr/internal/harness"
 	"vcfr/internal/results"
-	"vcfr/internal/trace"
 )
 
 func main() {
@@ -59,7 +58,6 @@ func run() error {
 		cellTime   = flag.Duration("cell-timeout", 0, "per-cell time budget (0 = none); overruns become error rows")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		format     = flag.String("format", "text", "output format: text | json")
-		traceCache = flag.Int("trace-cache", 256, "in-memory trace cache budget in MiB for record-once/replay-many execution (0 disables)")
 		statsJSON  = flag.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON")
 	)
 	flag.Parse()
@@ -96,9 +94,6 @@ func run() error {
 	r.CellTimeout = *cellTime
 	if *cachePath != "" {
 		r.Cache = harness.OpenCache(*cachePath)
-	}
-	if *traceCache > 0 {
-		r.Traces = trace.NewCache(int64(*traceCache) << 20)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -9,7 +9,6 @@
 //	vcfrsim -workload elf-fib -mode all
 //	vcfrsim -elf ./prog.elf -mode vcfr
 //	vcfrsim -workload h264ref -mode vcfr -record h264.vxt
-//	vcfrsim -workload h264ref -replay h264.vxt -drc 64
 //	vcfrsim -workload lbm -mode all -stats-json
 //
 // It prints IPC, the stall breakdown, cache statistics, and (under VCFR)
@@ -66,7 +65,6 @@ func run() error {
 		width    = flag.Int("width", 1, "issue width (1 = the paper's core, 2 = dual-issue)")
 		ctxEvery = flag.Uint64("ctxswitch", 0, "flush process-private state every N instructions")
 		record   = flag.String("record", "", "capture the run into a trace file (single mode only)")
-		replayF  = flag.String("replay", "", "replay a trace file through the configured machine (mode taken from the trace)")
 		jsonOut  = flag.Bool("stats-json", false, "emit a versioned results.Envelope as JSON instead of the text report")
 		interval = flag.Uint64("interval", 0, "snapshot counters every N instructions; the per-window series lands in the envelope's intervals field")
 		emulate  = flag.Bool("emulate", false, "also run the software-ILR emulation and report its counters (emulated-ilr row under -stats-json)")
@@ -118,7 +116,7 @@ func run() error {
 	// exact entry point the vcfrd service uses (harness.SimulateRuns +
 	// results.Marshal), so `vcfrsim -workload W -stats-json` and
 	// `POST /v1/simulate {"workload": "W", ...}` produce identical bytes.
-	if *jsonOut && *workload != "" && *bundle == "" && *record == "" && *replayF == "" && !*emulate && flag.NArg() == 0 {
+	if *jsonOut && *workload != "" && *bundle == "" && *record == "" && !*emulate && flag.NArg() == 0 {
 		cfg := harness.Config{Scale: *scale, MaxInsts: *maxInsts, Seed: *seed, Spread: *spread}
 		rows, err := harness.SimulateRuns(ctx, harness.NewRunner(1), *workload, modes, cfg, mutate)
 		if err != nil {
@@ -236,34 +234,6 @@ func run() error {
 			return nil
 		}
 		return results.Write(os.Stdout, results.NewRun(jsonRows...))
-	}
-
-	// -replay drives the configured machine from a recorded trace instead of
-	// executing; the architecture mode comes from the trace itself. The
-	// machine must be built from the same (workload, seed, spread) the trace
-	// was captured with — a mismatch is caught as a replay divergence.
-	if *replayF != "" {
-		tr, err := trace.LoadFile(*replayF)
-		if err != nil {
-			return err
-		}
-		m := tr.Meta.Mode
-		p, err := sys.Pipeline(m, mutate)
-		if err != nil {
-			return err
-		}
-		instCap := tr.Meta.MaxInsts
-		if *maxInsts > 0 {
-			instCap = *maxInsts
-		}
-		res, err := trace.ReplayContext(ctx, tr, p, instCap)
-		if err != nil {
-			return err
-		}
-		if err := emit(os.Stdout, m, res); err != nil {
-			return err
-		}
-		return finish()
 	}
 
 	// -record captures the run into a trace file alongside the normal report.

@@ -1,18 +1,16 @@
-// Command vxtrace records, inspects, and replays execution traces
-// (see internal/trace and docs/ARCHITECTURE.md for the file format).
+// Command vxtrace records and inspects execution traces (see internal/trace
+// and docs/ARCHITECTURE.md for the file format).
 //
 // Usage:
 //
 //	vxtrace record -workload h264ref -mode vcfr -instructions 120000 -o h264.vxt
 //	vxtrace info h264.vxt
-//	vxtrace replay h264.vxt
-//	vxtrace replay -drc 64 -width 2 h264.vxt
+//	vxtrace info -json h264.vxt
 //
-// record captures one execute-driven run into a trace file. replay rebuilds
-// the same (workload, layout) pair from the trace's metadata, verifies the
-// image hash, and drives the cycle-level pipeline from the recorded stream —
-// optionally under a different timing configuration, which is the point:
-// one recording answers any number of timing questions.
+// record captures one execute-driven run into a trace file, stamped with
+// the (workload, layout, mode, cap) it recorded and the executed image's
+// hash. info prints that header and the stream's size, as text or as a
+// versioned results envelope.
 package main
 
 import (
@@ -35,17 +33,15 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: vxtrace record|info|replay [flags] [file]")
+		return fmt.Errorf("usage: vxtrace record|info [flags] [file]")
 	}
 	switch args[0] {
 	case "record":
 		return record(args[1:])
 	case "info":
 		return info(args[1:])
-	case "replay":
-		return replay(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q (want record, info, or replay)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want record or info)", args[0])
 	}
 }
 
@@ -149,66 +145,5 @@ func info(args []string) error {
 	fmt.Printf("records       %d (%d unique instructions)\n", tr.Len(), len(tr.Insts))
 	fmt.Printf("halted        %v (exit code %d, %d output bytes)\n", tr.Halted, tr.ExitCode, len(tr.Out))
 	fmt.Printf("encoded size  %d bytes (%.2f bytes/record)\n", st.Size(), float64(st.Size())/float64(max(tr.Len(), 1)))
-	return nil
-}
-
-func replay(args []string) error {
-	fs := flag.NewFlagSet("vxtrace replay", flag.ExitOnError)
-	var (
-		drc      = fs.Int("drc", 0, "override DRC entries (0 = default)")
-		width    = fs.Int("width", 0, "override issue width (0 = default)")
-		ctxEvery = fs.Uint64("ctxswitch", 0, "flush process-private state every N instructions")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: vxtrace replay [flags] FILE")
-	}
-	tr, err := trace.LoadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	m := tr.Meta
-
-	// Rebuild the captured (workload, layout) pair from the trace metadata
-	// and prove it is the same image before replaying into it.
-	cfg := harness.Config{Scale: m.Scale, Seed: m.LayoutSeed, Spread: m.Spread}
-	app, err := harness.Prepare(m.Workload, cfg)
-	if err != nil {
-		return fmt.Errorf("rebuilding %s: %w", m.Workload, err)
-	}
-	if key := harness.TraceKey(app, m.Mode, m.MaxInsts); key.ImageHash != m.ImageHash {
-		return fmt.Errorf("image hash mismatch: trace %#x, rebuilt %#x (workload changed since capture?)",
-			m.ImageHash, key.ImageHash)
-	}
-	mutate := func(c *cpu.Config) {
-		if *drc > 0 {
-			c.DRCEntries = *drc
-		}
-		if *width > 0 {
-			c.IssueWidth = *width
-		}
-		c.ContextSwitchEvery = *ctxEvery
-	}
-	p, ccfg, err := app.Pipeline(m.Mode, mutate)
-	if err != nil {
-		return err
-	}
-	res, err := trace.Replay(tr, p, m.MaxInsts)
-	if err != nil {
-		return err
-	}
-	s := res.Stats
-	fmt.Printf("replayed %s under %s (drc=%d width=%d)\n", m.Workload, m.Mode, ccfg.DRCEntries, ccfg.IssueWidth)
-	fmt.Printf("instructions  %d\n", s.Instructions)
-	fmt.Printf("cycles        %d\n", s.Cycles)
-	fmt.Printf("IPC           %.3f\n", s.IPC())
-	fmt.Printf("stalls        fetch=%d mem=%d exec=%d control=%d drc=%d\n",
-		s.FetchStall, s.MemStall, s.ExecStall, s.ControlStall, s.DRCStall)
-	if m.Mode == cpu.ModeVCFR {
-		fmt.Printf("drc           lookups=%d miss=%.2f%% walks=%d\n",
-			res.DRC.Lookups, 100*res.DRC.MissRate(), res.DRC.TableWalks)
-	}
 	return nil
 }

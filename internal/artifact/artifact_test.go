@@ -166,7 +166,7 @@ func TestClientAgainstHTTPStore(t *testing.T) {
 // TestTraceRemoteInCache wires the disk store under a trace cache and
 // checks the second-level flow: a fresh cache with the same backing store
 // serves a previously captured trace without re-capturing (fetch returns
-// leader=false, so the caller replays).
+// leader=false, as for any cache hit).
 func TestTraceRemoteInCache(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir)

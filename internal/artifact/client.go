@@ -82,7 +82,8 @@ func (c *Client) Put(ns, key string, data []byte) error {
 }
 
 // PeerTraceRemote adapts the client to trace.Remote, so a worker's trace
-// cache transparently records into / replays from the coordinator's store.
+// cache transparently stores captures in / fetches them from the
+// coordinator's store.
 type PeerTraceRemote struct{ C *Client }
 
 // Fetch implements trace.Remote.

@@ -27,8 +27,6 @@ import (
 //     (self-modifying code; detected in stepTail for both execution paths),
 //   - SetInjector arming (a FetchBytes hook must observe every raw fetch, so
 //     injected runs also bypass the cache entirely),
-//   - SetReplay installing or removing a trace source (replayed runs do not
-//     execute stores, so memory may silently diverge from an executed run),
 //   - an explicit InvalidateBlocks call, required after mutating program
 //     memory from outside the pipeline (test harnesses, attack payloads,
 //     mid-run re-randomization that rewrites image bytes in place).
@@ -135,8 +133,8 @@ func (c *blockCache) flush() {
 
 // InvalidateBlocks drops every cached pre-decoded block. Call it after
 // mutating program memory from outside the pipeline (the executing program's
-// own stores are detected automatically). A nil receiver-side cache (replay
-// pipelines, Config.NoBlockCache) makes this a no-op.
+// own stores are detected automatically). A disabled cache
+// (Config.NoBlockCache) makes this a no-op.
 func (p *Pipeline) InvalidateBlocks() {
 	if p.bb != nil {
 		p.bb.flush()

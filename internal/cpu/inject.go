@@ -26,9 +26,7 @@ import (
 //
 // seq is the zero-based index of the executing instruction (the commit
 // count before it retires), which is how an injector targets exactly one
-// dynamic instruction. Hooks are ignored during trace replay: replay
-// substitutes recorded outcomes for fetch/execute, so there is nothing
-// micro-architectural to corrupt.
+// dynamic instruction.
 type InjectHooks struct {
 	FetchBytes func(seq uint64, addr uint32, buf []byte)
 	Outcome    func(seq uint64, in isa.Inst, out *emu.Outcome)

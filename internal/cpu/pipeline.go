@@ -144,16 +144,8 @@ type Pipeline struct {
 	bb *blockCache
 
 	// recorder captures each executed instruction's functional outcome
-	// (trace capture); replay, when non-nil, substitutes a recorded stream
-	// for FetchDecode+Exec (trace replay). replayRecs/replayPos are the
-	// zero-copy fast path for sources exposing a materialized slice;
-	// replayScratch backs the pointer handed out on the interface path.
-	// See replay.go.
-	recorder      func(ExecRecord)
-	replay        ReplaySource
-	replayRecs    []ExecRecord
-	replayPos     int
-	replayScratch ExecRecord
+	// (trace capture; see record.go).
+	recorder func(ExecRecord)
 }
 
 // New builds a pipeline for img under cfg. trans and randRA supply the
@@ -479,8 +471,8 @@ func (p *Pipeline) drcLookup(kind lookupKind, key uint32, overlap int) (val uint
 // everything but the baseline, whose decode is address-space independent —
 // the decoded-block memoization is dropped too, since cached blocks encode
 // the previous process's randomized layout. The drop is timing-invariant
-// (the cache memoizes work, it never changes it), so differential and
-// replay equivalence hold across switches.
+// (the cache memoizes work, it never changes it), so differential
+// equivalence holds across switches.
 func (p *Pipeline) SwitchIn() {
 	p.contextSwitch()
 	if p.cfg.Mode != ModeBaseline {
@@ -510,44 +502,25 @@ func (p *Pipeline) Step() (bool, error) {
 		p.contextSwitch()
 	}
 	var (
-		in         isa.Inst
-		out        emu.Outcome
-		err        error
-		recDerands int
-		recHalt    bool
+		in  isa.Inst
+		out emu.Outcome
+		err error
 	)
-	replaying := p.replay != nil
-	if replaying {
-		rec, done := p.nextReplay()
-		if done {
-			return false, nil
-		}
-		in = rec.Inst
-		if in.Addr != p.pc {
-			return false, fmt.Errorf(
-				"cpu: replay divergence at instruction %d: trace UPC %#x, pipeline UPC %#x",
-				p.stats.Instructions, in.Addr, p.pc)
-		}
-		out = emu.Outcome{Taken: rec.Taken, Target: rec.Target, MemKind: rec.MemKind, MemAddr: rec.MemAddr}
-		recDerands, recHalt = rec.Derands, rec.Halt
-	}
 	sAddr := p.storageAddr(p.pc)
-	if !replaying {
-		if p.inject != nil {
-			p.injectSeq = p.stats.Instructions
-			if p.inject.FetchBytes != nil {
-				in, err = p.fetchDecodeInjected(sAddr)
-			} else {
-				in, err = emu.FetchDecode(p.mem, sAddr)
-			}
+	if p.inject != nil {
+		p.injectSeq = p.stats.Instructions
+		if p.inject.FetchBytes != nil {
+			in, err = p.fetchDecodeInjected(sAddr)
 		} else {
 			in, err = emu.FetchDecode(p.mem, sAddr)
 		}
-		if err != nil {
-			return false, err
-		}
-		in.Addr = p.pc
+	} else {
+		in, err = emu.FetchDecode(p.mem, sAddr)
 	}
+	if err != nil {
+		return false, err
+	}
+	in.Addr = p.pc
 	if p.tracer != nil {
 		p.emitTrace(in, sAddr)
 	}
@@ -557,35 +530,27 @@ func (p *Pipeline) Step() (bool, error) {
 	p.stats.FetchStall += fetchBubble
 	cost := 1 + fetchBubble
 
-	// Execute functionally — or take the recorded functional outcome.
-	if replaying {
-		p.pendingDerands = recDerands
-		if recHalt {
-			p.state.Halted = true
-			p.adoptReplayFinal()
-		}
-	} else {
-		p.pendingDerands = 0
-		out, err = emu.Exec(p.state, in)
-		if err != nil {
-			return false, err
-		}
-		if p.inject != nil && p.inject.Outcome != nil {
-			p.injectOut = out
-			p.inject.Outcome(p.stats.Instructions, in, &p.injectOut)
-			out = p.injectOut
-		}
-		if p.recorder != nil {
-			p.recorder(ExecRecord{
-				Inst:    in,
-				Taken:   out.Taken,
-				Target:  out.Target,
-				MemKind: out.MemKind,
-				MemAddr: out.MemAddr,
-				Derands: p.pendingDerands,
-				Halt:    p.state.Halted,
-			})
-		}
+	// Execute functionally.
+	p.pendingDerands = 0
+	out, err = emu.Exec(p.state, in)
+	if err != nil {
+		return false, err
+	}
+	if p.inject != nil && p.inject.Outcome != nil {
+		p.injectOut = out
+		p.inject.Outcome(p.stats.Instructions, in, &p.injectOut)
+		out = p.injectOut
+	}
+	if p.recorder != nil {
+		p.recorder(ExecRecord{
+			Inst:    in,
+			Taken:   out.Taken,
+			Target:  out.Target,
+			MemKind: out.MemKind,
+			MemAddr: out.MemAddr,
+			Derands: p.pendingDerands,
+			Halt:    p.state.Halted,
+		})
 	}
 	p.stats.Instructions++
 	if p.cfg.Mode == ModeVCFR && !p.inRand {
@@ -1000,9 +965,8 @@ func (p *Pipeline) RunContext(ctx context.Context, maxInsts uint64) (Result, err
 // The block-cached fast path executes whole pre-decoded blocks per call,
 // so every count-triggered event (quantum end, sample edge, context-switch
 // boundary) is folded into the per-call instruction limit and lands exactly
-// where the per-instruction path would put it. Replayed, injected, and
-// traced runs take the per-instruction Step path: replay substitutes
-// recorded outcomes for fetch/decode, injection must observe every raw
+// where the per-instruction path would put it. Injected and traced runs
+// take the per-instruction Step path: injection must observe every raw
 // fetch, and the tracer reads live cumulative counters.
 func (p *Pipeline) advanceTo(target uint64) (bool, error) {
 	// Interval sampling piggybacks on the same threshold pattern as the
@@ -1017,7 +981,6 @@ func (p *Pipeline) advanceTo(target uint64) (bool, error) {
 	if sampleEvery > 0 {
 		nextSample = p.nextSample
 	}
-	useBlocks := p.bb != nil && p.replay == nil
 	for p.stats.Instructions < target {
 		if p.stats.Instructions >= nextSample {
 			p.intervals = append(p.intervals, p.reg.Snapshot())
@@ -1028,7 +991,7 @@ func (p *Pipeline) advanceTo(target uint64) (bool, error) {
 			running bool
 			err     error
 		)
-		if useBlocks && p.inject == nil && p.tracer == nil {
+		if p.bb != nil && p.inject == nil && p.tracer == nil {
 			limit := target
 			if nextSample < limit {
 				limit = nextSample

@@ -28,29 +28,29 @@ type Runner struct {
 	// CellTimeout caps one cell's wall-clock time; 0 means no limit. A
 	// timed-out cell is cancelled mid-run (see cpu.Pipeline.RunContext)
 	// and surfaces as an error row while the rest of the sweep completes.
-	//
-	// Deprecated: field-based timeouts predate context plumbing. New
-	// callers should bound the context they pass to Run/RunAll/StatsSweep
-	// (context.WithTimeout / WithDeadline) instead; CellTimeout remains as
-	// a per-cell refinement of that budget and is honored as a derived
-	// per-cell context.WithTimeout.
+	// It is a per-cell budget, applied as a context.WithTimeout derived
+	// from the sweep's context: a deadline on the context a caller passes
+	// to Run/RunAll/StatsSweep bounds the whole sweep instead, and cancels
+	// every cell still running when it expires. experiments -cell-timeout
+	// is this field.
 	CellTimeout time.Duration
 	// Cache, if non-nil, memoizes finished cells keyed by (experiment,
 	// cell, derived seed, config); see Cache for the disk-backed variant.
 	Cache *Cache
-	// Traces, if non-nil, switches cells to record-once/replay-many
-	// execution: one functional trace is captured per (app, mode,
-	// instruction cap) and every further timing configuration replays it
-	// (see trace.go). Replay is bit-identical to execution, so enabling the
-	// cache changes wall-clock time only, never results.
+	// Traces, if non-nil, is the trace cache that fault campaigns capture
+	// their clean reference runs through (keyed by TraceKey), so repeated
+	// campaigns on one runner — vcfrd's jobs — record each reference once.
+	// It also turns on the prepared-app memo below. Sweeps and simulations
+	// always execute; they never read or fill the cache.
 	Traces *trace.Cache
 
 	semOnce sync.Once
 	sem     chan struct{}
 
-	// Prepared-app memoization, active only alongside Traces: workload
-	// build + ILR rewrite are deterministic in the derived seed, so
-	// repeated sweeps reuse them. Bounded FIFO, maxApps entries.
+	// Prepared-app memoization, active only alongside Traces (a long-lived
+	// service runner): workload build + ILR rewrite are deterministic in the
+	// derived seed, so repeated sweeps reuse them. Bounded FIFO, maxApps
+	// entries.
 	appMu    sync.Mutex
 	apps     map[string]*App
 	appOrder []string
@@ -319,9 +319,9 @@ func vals(cells []Cell, i int) []float64 {
 
 // Cancellation-aware wrappers: cells call these instead of the raw
 // Prepare/Run so a per-cell timeout or a sweep-wide cancel takes effect at
-// the next simulation-run boundary. The Sweep methods prepare/prepareOpts/
-// runMode (trace.go) add trace capture/replay on top when the runner
-// carries a trace cache.
+// the next simulation-run boundary. The Sweep methods prepare/prepareOpts
+// (trace.go) add prepared-app memoization on top when the runner carries a
+// trace cache.
 
 // runEmulated is App.RunEmulated with a cancellation check.
 func runEmulated(ctx context.Context, app *App, maxInsts uint64) (emu.RunResult, error) {

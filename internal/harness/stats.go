@@ -13,8 +13,7 @@ import (
 // StatsSweep simulates every configured workload (default: the 11 SPEC
 // analogs) under all three architecture modes on the runner's worker pool
 // and returns one row per (workload, mode) in stable (workload, mode) order.
-// Per-workload derived seeds and, when the runner carries a trace cache,
-// record-once/replay-many execution follow the same rules as the table
+// Per-workload derived seeds follow the same rules as the table
 // experiments.
 //
 // A failed or cancelled cell does not discard the sweep: its workload
@@ -111,9 +110,9 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 // -stats-json and the vcfrd service: it prepares the named workload with
 // cfg.Seed as the layout seed (no per-cell derivation — this is a direct
 // query, not a sweep) and runs it under each requested mode, in order, with
-// mutate applied to the machine configuration. When the runner carries a
-// trace cache, repeated timing-only queries replay the captured trace, and
-// concurrent identical captures are deduplicated (trace.Cache.Do).
+// mutate applied to the machine configuration. Every run executes; when the
+// runner carries a trace cache, only the prepared app is memoized, so a
+// repeated query skips the workload build and ILR rewrite.
 //
 // Both producers serialize the returned rows through results.NewRun +
 // results.Marshal, which is what makes a service response byte-identical to

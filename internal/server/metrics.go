@@ -83,7 +83,7 @@ func newMetrics() *metrics {
 	r.Counter("job.panics", "Jobs failed by a recovered panic.", &m.panicked)
 	r.Gauge("queue.depth", "Jobs waiting in the bounded queue.", &m.queueDepth)
 	r.Gauge("queue.capacity", "Bound of the job queue.", &m.queueCap)
-	r.Counter("trace.cache.hits", "Trace cache hits (replays and coalesced captures) across all jobs.", &m.traceHits)
+	r.Counter("trace.cache.hits", "Trace cache hits (reused and coalesced reference captures) across all jobs.", &m.traceHits)
 	r.Counter("trace.cache.misses", "Trace cache misses (each one paid a capture).", &m.traceMisses)
 	r.Gauge("trace.cache.bytes", "Bytes of trace data currently cached.", &m.traceBytes)
 	r.Gauge("trace.cache.entries", "Traces currently cached.", &m.traceEntries)

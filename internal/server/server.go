@@ -1,8 +1,8 @@
 // Package server implements vcfrd, the long-running HTTP/JSON simulation
 // service: it accepts simulation, sweep, and campaign jobs, runs them on a
-// shared harness.Runner whose trace cache turns repeated timing-only queries
-// into replays, and answers every request in the one versioned wire format
-// of internal/results. Every job kind is one entry of the kind table
+// shared harness.Runner whose trace cache lets repeated fault jobs reuse
+// their clean reference captures, and answers every request in the one
+// versioned wire format of internal/results. Every job kind is one entry of the kind table
 // (kinds.go), which campaignsim and the fleet coordinator read too.
 //
 // Endpoints:
@@ -94,7 +94,8 @@ type Config struct {
 	// <= 0 means 256.
 	JobRetention int
 	// Runner executes jobs. nil builds a default runner with a 256 MiB
-	// trace cache. Give it a trace.Cache to share captures across requests.
+	// trace cache. Give it a trace.Cache to share fault-campaign reference
+	// captures across requests.
 	Runner *harness.Runner
 	// Executor, when set, replaces local execution of asynchronous jobs:
 	// it receives the job's kind, its normalized request, and a progress

@@ -101,34 +101,48 @@ func TestSimulateMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestRepeatedQueryReplays locks the shared-cache behavior: a second
-// request that changes only timing knobs (DRC size) must be served by
-// replaying the first request's captured trace — the hit counter moves, the
-// capture counter does not.
-func TestRepeatedQueryReplays(t *testing.T) {
+// TestRepeatedFaultJobReusesCaptures locks the shared-cache behavior: a
+// second identical fault job takes its clean reference run from the trace
+// the first job captured — the hit counter moves, the miss (capture)
+// counter does not — and answers the same envelope bytes.
+func TestRepeatedFaultJobReusesCaptures(t *testing.T) {
 	r := harness.NewRunner(0)
 	r.Traces = trace.NewCache(64 << 20)
 	s := startServer(t, Config{Workers: 2, QueueDepth: 8, Runner: r})
 
-	body := `{"workload": "lbm", "mode": "vcfr", "instructions": 30000}`
-	if resp, b := post(t, s, "/v1/simulate", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first simulate: %d: %s", resp.StatusCode, b)
-	}
-	hits0, misses0, _, _ := r.Traces.Stats()
-	if misses0 == 0 {
-		t.Fatal("first request did not capture")
+	body := `{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 4, "instructions": 5000}`
+	runJob := func(which string) []byte {
+		t.Helper()
+		resp, b := post(t, s, "/v1/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s job: %d: %s", which, resp.StatusCode, b)
+		}
+		id := acceptedID(t, b)
+		if v := pollJob(t, s, id); v.State != JobDone {
+			t.Fatalf("%s job failed: %s", which, v.Error)
+		}
+		resp, b = get(t, s, "/v1/jobs/"+id+"/result")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s job result: %d: %s", which, resp.StatusCode, b)
+		}
+		return b
 	}
 
-	timingOnly := `{"workload": "lbm", "mode": "vcfr", "instructions": 30000, "drc": 64}`
-	if resp, b := post(t, s, "/v1/simulate", timingOnly); resp.StatusCode != http.StatusOK {
-		t.Fatalf("second simulate: %d: %s", resp.StatusCode, b)
+	first := runJob("first")
+	hits0, misses0, _, _ := r.Traces.Stats()
+	if misses0 == 0 {
+		t.Fatal("first job did not capture its reference")
 	}
+	second := runJob("second")
 	hits1, misses1, _, _ := r.Traces.Stats()
 	if hits1 <= hits0 {
-		t.Errorf("timing-only repeat was not a cache hit (hits %d -> %d)", hits0, hits1)
+		t.Errorf("repeated job was not a trace-cache hit (hits %d -> %d)", hits0, hits1)
 	}
 	if misses1 != misses0 {
-		t.Errorf("timing-only repeat re-captured (misses %d -> %d)", misses0, misses1)
+		t.Errorf("repeated job re-captured its reference (misses %d -> %d)", misses0, misses1)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("repeated job's envelope differs:\n--- first ---\n%.400s\n--- second ---\n%.400s", first, second)
 	}
 
 	// The /metrics endpoint must surface the same counters.

@@ -12,10 +12,10 @@ import (
 // Key identifies one cacheable execution. ImageHash and LayoutSeed pin the
 // executed image and the ILR layout; Mode and MaxInsts pin the functional
 // stream (the stream differs per architecture mode — VCFR's hooks change
-// pushed return addresses — and a trace only replays exactly at its capture
-// cap); Aux folds in everything else that shapes the functional execution
-// (rewriter options, program input), so colliding layouts with, say,
-// different return-address randomization modes never share a trace.
+// pushed return addresses — and ends at the capture cap); Aux folds in
+// everything else that shapes the functional execution (rewriter options,
+// program input), so colliding layouts with, say, different return-address
+// randomization modes never share a trace.
 type Key struct {
 	ImageHash  uint64
 	LayoutSeed int64
@@ -212,10 +212,10 @@ func (c *Cache) Do(ctx context.Context, k Key, capture func() (*Trace, error)) (
 	}()
 	// Before paying a capture, try the second-level store: a peer may have
 	// recorded this exact execution already. A fetched trace is reported
-	// with leader=false — the caller replays it like any cache hit (only a
-	// genuine local capture produces the leader's live cpu.Result). A store
-	// that returns garbage is simply ignored; the capture below is the
-	// fallback for every remote failure mode.
+	// with leader=false, like any cache hit (only a genuine local capture
+	// produces the leader's live cpu.Result). A store that returns garbage
+	// is simply ignored; the capture below is the fallback for every remote
+	// failure mode.
 	if rem != nil {
 		if data, ok := rem.Fetch(k); ok {
 			if t, derr := Decode(data); derr == nil {
@@ -234,22 +234,6 @@ func (c *Cache) unregister(k Key) {
 	c.mu.Lock()
 	delete(c.flights, k)
 	c.mu.Unlock()
-}
-
-// Drop removes k from the cache (used when a cached trace proves stale —
-// e.g. a replay diverges — so the caller can fall back to execution and
-// re-capture).
-func (c *Cache) Drop(k Key) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.Remove(el)
-		delete(c.entries, k)
-		c.size -= el.Value.(*centry).t.SizeBytes()
-	}
 }
 
 // Stats reports cache effectiveness counters and current occupancy.

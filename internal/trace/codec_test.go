@@ -182,13 +182,9 @@ func TestCacheLRUAndBounds(t *testing.T) {
 		}
 	}
 
-	c.Drop(key(1))
-	if _, ok := c.Get(key(1)); ok {
-		t.Error("dropped entry still present")
-	}
 	hits, misses, bytes, entries := c.Stats()
-	if entries != 1 || bytes != sz {
-		t.Errorf("stats after drop: %d entries / %d bytes, want 1 / %d", entries, bytes, sz)
+	if entries != 2 || bytes != 2*sz {
+		t.Errorf("stats after eviction: %d entries / %d bytes, want 2 / %d", entries, bytes, 2*sz)
 	}
 	if hits == 0 || misses == 0 {
 		t.Errorf("hit/miss counters not advancing: %d/%d", hits, misses)
@@ -208,13 +204,40 @@ func TestCacheLRUAndBounds(t *testing.T) {
 	}
 }
 
+// TestSizeBytesChargesPackedForm pins the cache's per-trace accounting to
+// what a trace holds: each further record costs its packed bytes and
+// nothing more, so the byte bound counts traces at their real footprint.
+func TestSizeBytesChargesPackedForm(t *testing.T) {
+	loop := []isa.Inst{
+		{Op: isa.OpLoad, Rd: 3, Imm: -64, Addr: 0x1000},
+		{Op: isa.OpMovRR, Rd: 1, Rs: 3, Addr: 0x1006},
+		{Op: isa.OpJmp, Target: 0x1000, Addr: 0x1008},
+	}
+	capture := func(iters int) *Trace {
+		b := NewBuilder(Meta{Workload: "loop"})
+		for i := 0; i < iters; i++ {
+			b.Add(cpu.ExecRecord{Inst: loop[0], MemKind: emu.MemLoad, MemAddr: uint32(0x8000 + 4*i)})
+			b.Add(cpu.ExecRecord{Inst: loop[1]})
+			b.Add(cpu.ExecRecord{Inst: loop[2], Taken: true, Target: 0x1000})
+		}
+		return b.Finish(cpu.Result{Out: []byte("out")})
+	}
+	short, long := capture(100), capture(1000)
+	if got, want := long.SizeBytes()-short.SizeBytes(), int64(len(long.recs)-len(short.recs)); got != want {
+		t.Errorf("%d more records cost %d bytes, want their %d packed bytes",
+			long.Len()-short.Len(), got, want)
+	}
+	if enc := int64(len(long.Bytes())); long.SizeBytes() > 2*enc {
+		t.Errorf("SizeBytes %d for a trace that encodes to %d bytes", long.SizeBytes(), enc)
+	}
+}
+
 func TestCacheNilSafe(t *testing.T) {
 	var c *Cache
 	c.Put(Key{}, synthetic())
 	if _, ok := c.Get(Key{}); ok {
 		t.Error("nil cache returned a trace")
 	}
-	c.Drop(Key{})
 	if h, m, b, e := c.Stats(); h != 0 || m != 0 || b != 0 || e != 0 {
 		t.Error("nil cache reported non-zero stats")
 	}

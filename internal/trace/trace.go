@@ -1,16 +1,15 @@
 // Package trace captures the canonical dynamic execution of a (workload, ILR
-// layout) pair and replays it through the cycle-level pipeline.
+// layout) pair.
 //
 // A trace records, per executed instruction, exactly what the timing model
 // consumes from the functional execute stage (see cpu.ExecRecord): the
 // decoded instruction with its original-space PC, the control-transfer
 // outcome with its architectural (possibly randomized-space) target, the
-// data-memory access, and the VCFR auto-de-randomization count. Because the
-// functional execution of a fixed (workload, layout, mode, instruction cap)
-// is invariant under every timing knob — DRC geometry, issue width,
-// context-switch interval, prediction space — one captured trace drives any
-// number of timing configurations, and each replay reproduces the
-// execute-driven Result bit for bit.
+// data-memory access, and the VCFR auto-de-randomization count, plus the
+// run's terminal program state. Fault campaigns read a clean run's trace to
+// pick injection sites and to judge each injected run against the clean
+// outcome; the encoded form is what the artifact store shares between
+// workers.
 //
 // On disk a trace is a compact versioned binary: a header, a table of unique
 // decoded instructions, and a delta/varint-packed record stream, protected
@@ -21,7 +20,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/isa"
@@ -29,9 +27,8 @@ import (
 
 // Meta identifies what a trace captured: the workload, the ILR layout it was
 // randomized with, the architecture mode it executed under, and the
-// instruction cap of the capture run. A replay is only meaningful against
-// the same five-tuple; ImageHash lets consumers verify they rebuilt the same
-// executed image.
+// instruction cap of the capture run. ImageHash lets consumers verify they
+// rebuilt the same executed image.
 type Meta struct {
 	Workload   string
 	Mode       cpu.Mode
@@ -54,42 +51,17 @@ type Trace struct {
 	Insts []isa.Inst
 	n     int    // record count
 	recs  []byte // delta/varint-packed record stream
-
-	matOnce sync.Once
-	mat     []cpu.ExecRecord // materialized records, built on first replay
 }
 
 // Len returns the number of recorded instructions.
 func (t *Trace) Len() int { return t.n }
 
 // SizeBytes approximates the trace's in-memory footprint, used by the
-// bounded Cache for eviction accounting. A cached trace exists to be
-// replayed, and the first replay materializes the record stream into a flat
-// slice (see records), so that slice is charged up front.
+// bounded Cache for eviction accounting: the packed record stream, the
+// instruction table and the program output, plus a fixed header allowance.
 func (t *Trace) SizeBytes() int64 {
 	const instSize = 24 // isa.Inst: packed field sizes, rounded up
-	const recSize = 48  // cpu.ExecRecord, rounded up
-	return int64(len(t.recs)) + int64(t.n)*recSize +
-		int64(len(t.Insts))*instSize + int64(len(t.Out)) + 128
-}
-
-// records returns the trace's record stream as a flat slice, decoding the
-// packed form exactly once. Safe for concurrent replays of a shared trace;
-// callers must not mutate the result.
-func (t *Trace) records() []cpu.ExecRecord {
-	t.matOnce.Do(func() {
-		out := make([]cpu.ExecRecord, 0, t.n)
-		it := t.Iter()
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
-			out = append(out, r)
-		}
-		t.mat = out
-	})
-	return t.mat
+	return int64(len(t.recs)) + int64(len(t.Insts))*instSize + int64(len(t.Out)) + 128
 }
 
 // Builder accumulates ExecRecords into a Trace during a capture run.
@@ -258,37 +230,6 @@ func (t *Trace) validate() error {
 	return nil
 }
 
-// Replayer adapts a Trace to cpu.ReplaySource. It walks the materialized
-// record slice, so replay pays no per-record varint decoding.
-type Replayer struct {
-	t    *Trace
-	recs []cpu.ExecRecord
-	pos  int
-}
-
-// NewReplayer returns a replay source positioned at the trace's start.
-func NewReplayer(t *Trace) *Replayer { return &Replayer{t: t, recs: t.records()} }
-
-// Next implements cpu.ReplaySource.
-func (r *Replayer) Next() (cpu.ExecRecord, bool) {
-	if r.pos >= len(r.recs) {
-		return cpu.ExecRecord{}, false
-	}
-	rec := r.recs[r.pos]
-	r.pos++
-	return rec, true
-}
-
-// Records exposes the materialized slice, enabling the pipeline's zero-copy
-// replay fast path (see cpu.Pipeline.SetReplay). Callers must not mutate it.
-func (r *Replayer) Records() []cpu.ExecRecord { return r.recs }
-
-// Final implements cpu.ReplaySource. The output is copied so concurrent
-// replays of one cached trace never share the slice.
-func (r *Replayer) Final() ([]byte, uint32) {
-	return append([]byte(nil), r.t.Out...), r.t.ExitCode
-}
-
 // Capture runs p for up to maxInsts instructions with a recorder attached
 // and returns the sealed trace alongside the run's own Result.
 func Capture(p *cpu.Pipeline, maxInsts uint64, meta Meta) (*Trace, cpu.Result, error) {
@@ -307,17 +248,4 @@ func CaptureContext(ctx context.Context, p *cpu.Pipeline, maxInsts uint64, meta 
 		return nil, res, err
 	}
 	return b.Finish(res), res, nil
-}
-
-// Replay drives p from t and returns the replayed Result. With maxInsts
-// matching the capture run's cap, the Result is bit-identical to the
-// execute-driven one.
-func Replay(t *Trace, p *cpu.Pipeline, maxInsts uint64) (cpu.Result, error) {
-	return ReplayContext(context.Background(), t, p, maxInsts)
-}
-
-// ReplayContext is Replay with mid-run cancellation.
-func ReplayContext(ctx context.Context, t *Trace, p *cpu.Pipeline, maxInsts uint64) (cpu.Result, error) {
-	p.SetReplay(NewReplayer(t))
-	return p.RunContext(ctx, maxInsts)
 }

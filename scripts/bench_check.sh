@@ -42,14 +42,13 @@ FILENAME != base && /^BenchmarkDRCSweep\// {
 }
 # Pinned budgets out of the baseline JSON.
 FILENAME == base && /"execute"/ { pin["execute"] = pinned($0) }
-FILENAME == base && /"replay"/  { pin["replay"]  = pinned($0) }
 function pinned(line,    s) {
     s = line
     sub(/.*"ns_per_instr": */, "", s); sub(/[^0-9.].*/, "", s)
     return s + 0
 }
 END {
-    if (!(pin["execute"] > 0) || !(pin["replay"] > 0)) {
+    if (!(pin["execute"] > 0)) {
         print "bench_check: could not parse pinned ns_per_instr from " base > "/dev/stderr"
         exit 1
     }
@@ -78,10 +77,8 @@ END {
         printf "  \"benchmark\": \"BenchmarkDRCSweep\",\n" >> base
         printf "  \"config\": \"fig13+fig14 DRC sweep, workloads h264ref+lbm, 120000 instructions, benchtime 3x\",\n" >> base
         printf "  \"count\": %d,\n", n["execute"] >> base
-        printf "  \"execute\": {\"ns_per_op\": %.0f, \"ns_per_instr\": %.4f},\n",
+        printf "  \"execute\": {\"ns_per_op\": %.0f, \"ns_per_instr\": %.4f}\n",
             nsop["execute"] / n["execute"], fresh["execute"] >> base
-        printf "  \"replay\": {\"ns_per_op\": %.0f, \"ns_per_instr\": %.4f}\n",
-            nsop["replay"] / n["replay"], fresh["replay"] >> base
         printf "}\n" >> base
         printf "== improvement: re-pinned %s\n", base
     }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Smoke test for vcfrd: boot the service, hit every endpoint once, prove the
 # simulate response is byte-identical to vcfrsim -stats-json, prove a
-# timing-only repeat is served from the trace cache, exercise the unified
-# /v1/jobs API (the retired per-kind routes must be gone), boot a
+# repeated fault job reuses its reference captures from the trace cache and
+# answers the same bytes, exercise the unified /v1/jobs API (the retired
+# per-kind routes must be gone), boot a
 # 1-coordinator + 2-worker fleet and prove a sharded fault campaign merges
 # byte-identically to campaignsim -kind faults -json, and prove SIGTERM
 # drains cleanly. Per-kind campaign identity lives in campaign_smoke.sh.
@@ -11,7 +12,10 @@ set -eu
 
 GO="${GO:-go}"
 TMP="$(mktemp -d)"
-trap 'status=$?; for f in "$TMP"/*.pid; do [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null; done; rm -rf "$TMP"; exit $status' EXIT INT TERM
+# The teardown tolerates daemons that already exited (the SIGTERM step
+# stops two of them): under set -e a failed kill would end the trap early,
+# leaving the rest running and failing a passed run.
+trap 'status=$?; for f in "$TMP"/*.pid; do [ -f "$f" ] && kill "$(cat "$f")" 2>/dev/null || true; done; rm -rf "$TMP"; exit $status' EXIT INT TERM
 
 # start_vcfrd NAME [extra flags...] -> prints the bound address; the pid is
 # written to $TMP/NAME.pid for teardown. Runs inside command substitution,
@@ -65,12 +69,27 @@ curl -fsS -d "$REQ" "http://$ADDR/v1/simulate" >"$TMP/service.json"
 "$GO" run ./cmd/vcfrsim -workload h264ref -mode all -instructions 50000 -stats-json >"$TMP/cli.json"
 cmp "$TMP/service.json" "$TMP/cli.json"
 
-echo "== timing-only repeat replays from the trace cache"
-curl -fsS -d '{"workload": "h264ref", "mode": "all", "instructions": 50000, "drc": 64}' \
-    "http://$ADDR/v1/simulate" >/dev/null
-curl -fsS "http://$ADDR/metrics" >"$TMP/metrics.txt"
-HITS="$(sed -n 's/^vcfrd_trace_cache_hits_total //p' "$TMP/metrics.txt")"
-[ "${HITS:-0}" -ge 1 ] || { echo "no trace cache hit (hits=$HITS)"; exit 1; }
+echo "== a repeated fault job reuses its reference captures from the trace cache"
+# trace_counter NAME -> the main daemon's vcfrd_trace_cache_NAME_total.
+trace_counter() {
+    curl -fsS "http://$ADDR/metrics" | sed -n "s/^vcfrd_trace_cache_$1_total //p"
+}
+# fault_job OUT -> submits RREQ, waits for it, and writes its result to OUT.
+RREQ='{"kind": "faults", "workloads": ["bzip2"], "mode": "vcfr", "injections": 8, "instructions": 10000}'
+fault_job() {
+    id="$(curl -fsS -d "$RREQ" "http://$ADDR/v1/jobs" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
+    [ -n "$id" ] || { echo "/v1/jobs returned no job id"; return 1; }
+    poll_job "$ADDR" "$id"
+    curl -fsS "http://$ADDR/v1/jobs/$id/result" >"$1"
+}
+fault_job "$TMP/faults1.json"
+HITS0="$(trace_counter hits)"; MISSES0="$(trace_counter misses)"
+[ "${MISSES0:-0}" -ge 1 ] || { echo "first fault job captured nothing (misses=$MISSES0)"; exit 1; }
+fault_job "$TMP/faults2.json"
+HITS1="$(trace_counter hits)"; MISSES1="$(trace_counter misses)"
+[ "${HITS1:-0}" -gt "${HITS0:-0}" ] || { echo "repeat was not a trace cache hit (hits $HITS0 -> $HITS1)"; exit 1; }
+[ "$MISSES1" = "$MISSES0" ] || { echo "repeat re-captured (misses $MISSES0 -> $MISSES1)"; exit 1; }
+cmp "$TMP/faults1.json" "$TMP/faults2.json"
 
 echo "== unified submission via POST /v1/jobs"
 JOB="$(curl -fsS -d '{"kind": "sweep", "workloads": ["lbm"], "instructions": 50000}' "http://$ADDR/v1/jobs" \
