@@ -21,10 +21,11 @@ test-short:
 # executor calls into, the shared trace cache, the versioned wire format,
 # the vcfrd job queue / worker pool, and the sharded fault-injection
 # campaign runner, and the sharded adversary-in-the-loop attack campaign,
-# the sharded multi-tenant interference campaign, the fleet coordinator, and
-# the content-addressed artifact store.
+# the sharded multi-tenant interference campaign, the fleet coordinator, the
+# content-addressed artifact store, the randomizer (concurrent attack cells
+# re-randomize over one shared CFG) and the gadget scanner those cells run.
 race:
-	$(GO) test -race ./internal/harness ./internal/cpu ./internal/emu ./internal/trace ./internal/results ./internal/server ./internal/fault ./internal/attack ./internal/multicore ./internal/fleet ./internal/artifact
+	$(GO) test -race ./internal/harness ./internal/cpu ./internal/emu ./internal/trace ./internal/results ./internal/server ./internal/fault ./internal/attack ./internal/multicore ./internal/fleet ./internal/artifact ./internal/ilr ./internal/gadget
 
 # The full pre-commit gate. `test` runs every fuzz corpus as seeds
 # (including the ELF-parser and RV64-decoder corpora under

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -364,5 +365,22 @@ func TestAppendInt(t *testing.T) {
 		if got := string(appendInt(nil, tt.v)); got != tt.want {
 			t.Errorf("appendInt(%d) = %q, want %q", tt.v, got, tt.want)
 		}
+	}
+}
+
+// TestDecodeBytesFaultText checks that a decode failure still surfaces as a
+// fetch fault whose message carries the decoder's text: fault and attack
+// classify outcomes by the "fetch:" prefix.
+func TestDecodeBytesFaultText(t *testing.T) {
+	_, err := DecodeBytes([]byte{0xee, 0, 0, 0, 0, 0}, 0x1000)
+	f, ok := err.(*Fault)
+	if !ok {
+		t.Fatalf("DecodeBytes error = %T %v, want *Fault", err, err)
+	}
+	if want := "fetch: isa: invalid opcode byte"; !strings.HasPrefix(f.Msg, want) {
+		t.Errorf("Fault.Msg = %q, want prefix %q", f.Msg, want)
+	}
+	if f.Msg != "fetch: isa: invalid opcode byte: 0xee at 0x1000" {
+		t.Errorf("Fault.Msg = %q", f.Msg)
 	}
 }

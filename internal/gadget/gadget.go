@@ -66,6 +66,30 @@ func Scan(img *program.Image, maxInsts int) []Gadget {
 	return out
 }
 
+// ScanAddrs probes only the given addresses, which must be ascending; those
+// outside the executable segment are skipped. It equals Scan filtered to
+// addrs, for callers that know in advance where a gadget can count (a naive-
+// ILR attacker can mount gadgets only at instruction starts it has learned).
+func ScanAddrs(img *program.Image, addrs []uint32, maxInsts int) []Gadget {
+	if maxInsts <= 0 {
+		maxInsts = DefaultMaxInsts
+	}
+	text := img.Text()
+	if text == nil {
+		return nil
+	}
+	var out []Gadget
+	for _, a := range addrs {
+		if a < text.Addr || a-text.Addr >= uint32(len(text.Data)) {
+			continue
+		}
+		if g, ok := scanAt(text.Data, text.Addr, int(a-text.Addr), maxInsts); ok {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
 // scanAt tries to read one gadget starting at byte offset off.
 func scanAt(data []byte, base uint32, off, maxInsts int) (Gadget, bool) {
 	g := Gadget{Addr: base + uint32(off)}

@@ -151,7 +151,12 @@ func Rewrite(img *program.Image, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ilr: %w", err)
 	}
+	return layout(img, g, opts)
+}
 
+// layout randomizes img, whose CFG is g, with defaulted opts. g is only
+// read, so re-randomizations of one image can share it concurrently.
+func layout(img *program.Image, g *cfg.Graph, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	tables, entropy, err := assignAddresses(g, opts, rng)
 	if err != nil {

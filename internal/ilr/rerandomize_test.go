@@ -1,6 +1,8 @@
 package ilr
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"vcfr/internal/workloads"
@@ -138,5 +140,95 @@ func TestRerandomizeTablesConsistentAfterSwap(t *testing.T) {
 			t.Fatalf("epoch %d: %.1f%% of old randomized addresses still map", epoch, 100*frac)
 		}
 		cur = next
+	}
+}
+
+// rewriteArtifacts is what one randomization produces beyond the shared
+// inputs (the original image and its CFG).
+func rewriteArtifacts(r *Result) []any {
+	return []any{r.Tables, r.Scattered, r.VCFR, r.RandRA, r.Stats, r.Opts}
+}
+
+// TestRerandomizeMatchesRewrite pins the CFG reuse: re-randomizing a
+// Result equals rewriting its original image from scratch with the new
+// seed, for every layout option.
+func TestRerandomizeMatchesRewrite(t *testing.T) {
+	cases := []struct {
+		workload string
+		opts     Options
+	}{
+		{"bzip2", Options{Seed: 1}},
+		{"xalan", Options{Seed: 42}},
+		{"gcc", Options{Seed: 3, PageConfined: true}},
+		{"sjeng", Options{Seed: 4, RetRand: RetRandSoftware}},
+		{"h264ref", Options{Seed: 5, RetRand: RetRandNone, Spread: 4}},
+		{"elf-dispatch", Options{Seed: 6}},
+	}
+	for _, tc := range cases {
+		w, err := workloads.ByName(tc.workload, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Rewrite(w.Img, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{tc.opts.Seed, 7, 1 << 40} {
+			got, err := res.Rerandomize(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: Rerandomize: %v", tc.workload, seed, err)
+			}
+			opts := tc.opts
+			opts.Seed = seed
+			want, err := Rewrite(w.Img, opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: Rewrite: %v", tc.workload, seed, err)
+			}
+			if !reflect.DeepEqual(rewriteArtifacts(got), rewriteArtifacts(want)) {
+				t.Errorf("%s seed %d: Rerandomize differs from Rewrite", tc.workload, seed)
+			}
+			if got.Orig != res.Orig || got.Graph != res.Graph {
+				t.Errorf("%s seed %d: Rerandomize did not reuse the original image and CFG", tc.workload, seed)
+			}
+		}
+	}
+}
+
+// TestRerandomizeConcurrentShared re-randomizes one shared Result from 8
+// goroutines — the attack campaign's concurrent cells share one CFG — and
+// checks every epoch against a sequential Rewrite. Run under -race, it also
+// proves the shared graph is only read.
+func TestRerandomizeConcurrentShared(t *testing.T) {
+	w, err := workloads.ByName("xalan", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Rewrite(w.Img, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	got := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = res.Rerandomize(int64(100 + i))
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		want, err := Rewrite(w.Img, Options{Seed: int64(100 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rewriteArtifacts(got[i]), rewriteArtifacts(want)) {
+			t.Errorf("worker %d: concurrent Rerandomize differs from Rewrite", i)
+		}
 	}
 }

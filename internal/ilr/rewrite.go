@@ -165,9 +165,11 @@ func (res *Result) buildRandRA() {
 
 // Rerandomize applies a fresh randomization of the same original image with
 // a new seed — the paper's periodic re-randomization defense against table
-// leakage (Sec. V-C).
+// leakage (Sec. V-C). The original image never changes, so neither does its
+// CFG: the new layout reuses res.Graph instead of rebuilding it, and equals
+// Rewrite(res.Orig, opts with the new seed).
 func (res *Result) Rerandomize(seed int64) (*Result, error) {
 	opts := res.Opts
 	opts.Seed = seed
-	return Rewrite(res.Orig, opts)
+	return layout(res.Orig, res.Graph, opts)
 }

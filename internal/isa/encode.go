@@ -29,6 +29,55 @@ var (
 	ErrBadOperand = errors.New("isa: invalid operand encoding")
 )
 
+// decodeKind names which of Decode's rejections a decodeError records.
+type decodeKind uint8
+
+const (
+	badOpcode   decodeKind = iota // undefined opcode byte b
+	truncated                     // op needs need bytes, the buffer has have
+	badReg                        // op's register byte b is out of range
+	badIndexReg                   // loadr/storer index-register byte b is out of range
+	badMoviReg                    // movi's register byte b is out of range
+)
+
+// decodeError is one Decode failure. It keeps the raw facts and formats
+// them only in Error, so a caller that probes and discards (the gadget
+// scanner over mostly undecodable bytes) never pays for the text.
+type decodeError struct {
+	kind       decodeKind
+	op         Op
+	b          byte
+	addr       uint32
+	need, have int
+}
+
+func (e *decodeError) Error() string {
+	switch e.kind {
+	case badOpcode:
+		return fmt.Sprintf("%v: %#02x at %#x", ErrBadOpcode, e.b, e.addr)
+	case truncated:
+		return fmt.Sprintf("%v: %s at %#x needs %d bytes, have %d", ErrTruncated, e.op, e.addr, e.need, e.have)
+	case badReg:
+		return fmt.Sprintf("%v: %s reg %d at %#x", ErrBadOperand, e.op, e.b, e.addr)
+	case badIndexReg:
+		return fmt.Sprintf("%v: %s index reg %d at %#x", ErrBadOperand, e.op, e.b, e.addr)
+	default:
+		return fmt.Sprintf("%v: movi reg %d at %#x", ErrBadOperand, e.b, e.addr)
+	}
+}
+
+// Unwrap returns the sentinel of the failure's kind.
+func (e *decodeError) Unwrap() error {
+	switch e.kind {
+	case badOpcode:
+		return ErrBadOpcode
+	case truncated:
+		return ErrTruncated
+	default:
+		return ErrBadOperand
+	}
+}
+
 // Encode appends the encoding of in to dst and returns the extended slice.
 // It panics if the instruction is malformed (invalid opcode or register);
 // instructions are produced by the assembler and workload generators, which
@@ -89,19 +138,21 @@ func Encode(dst []byte, in Inst) []byte {
 // Register-field validation is strict: a high nibble in a single-register
 // encoding fails, so a random byte stream usually fails to decode — exactly
 // the property the gadget scanner relies on when it probes misaligned
-// offsets.
+// offsets. Since the scanner throws almost every such error away, errors
+// are formatted lazily: the returned error records what failed and builds
+// its message only when Error is called. It unwraps to ErrBadOpcode,
+// ErrTruncated or ErrBadOperand.
 func Decode(buf []byte, addr uint32) (Inst, error) {
 	if len(buf) == 0 {
 		return Inst{}, ErrTruncated
 	}
 	op := Op(buf[0])
 	if !op.Valid() {
-		return Inst{}, fmt.Errorf("%w: %#02x at %#x", ErrBadOpcode, buf[0], addr)
+		return Inst{}, &decodeError{kind: badOpcode, b: buf[0], addr: addr}
 	}
 	n := op.Length()
 	if len(buf) < n {
-		return Inst{}, fmt.Errorf("%w: %s at %#x needs %d bytes, have %d",
-			ErrTruncated, op, addr, n, len(buf))
+		return Inst{}, &decodeError{kind: truncated, op: op, addr: addr, need: n, have: len(buf)}
 	}
 	in := Inst{Op: op, Addr: addr}
 	switch op {
@@ -114,24 +165,24 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 		in.Rd, in.Rs = Reg(buf[1]>>4), Reg(buf[1]&0x0f)
 	case OpNeg, OpNot, OpPush, OpPop, OpJmpR, OpCallR:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, op, buf[1], addr)
+			return Inst{}, &decodeError{kind: badReg, op: op, b: buf[1], addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 	case OpShlI, OpShrI, OpSarI:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, op, buf[1], addr)
+			return Inst{}, &decodeError{kind: badReg, op: op, b: buf[1], addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(buf[2])
 	case OpLoadR, OpStoreR:
 		in.Rd, in.Rs = Reg(buf[1]>>4), Reg(buf[1]&0x0f)
 		if buf[2] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s index reg %d at %#x", ErrBadOperand, op, buf[2], addr)
+			return Inst{}, &decodeError{kind: badIndexReg, op: op, b: buf[2], addr: addr}
 		}
 		in.Rt = Reg(buf[2])
 	case OpAddI, OpSubI, OpAndI, OpOrI, OpXorI, OpCmpI:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, op, buf[1], addr)
+			return Inst{}, &decodeError{kind: badReg, op: op, b: buf[1], addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(int16(binary.LittleEndian.Uint16(buf[2:])))
@@ -142,12 +193,12 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 		in.Target = binary.LittleEndian.Uint32(buf[1:])
 	case OpMovRI:
 		if buf[1] >= NumRegs {
-			return Inst{}, fmt.Errorf("%w: movi reg %d at %#x", ErrBadOperand, buf[1], addr)
+			return Inst{}, &decodeError{kind: badMoviReg, b: buf[1], addr: addr}
 		}
 		in.Rd = Reg(buf[1])
 		in.Imm = int32(binary.LittleEndian.Uint32(buf[2:]))
 	default:
-		return Inst{}, fmt.Errorf("%w: %#02x at %#x", ErrBadOpcode, buf[0], addr)
+		return Inst{}, &decodeError{kind: badOpcode, b: buf[0], addr: addr}
 	}
 	return in, nil
 }

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -237,5 +238,51 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = Encode(buf[:0], in)
+	}
+}
+
+// TestDecodeErrorText pins the lazily formatted decode errors to the text
+// the eager fmt.Errorf formats produced, one case per rejection site, and
+// checks each still matches its sentinel.
+func TestDecodeErrorText(t *testing.T) {
+	tests := []struct {
+		name string
+		buf  []byte
+		addr uint32
+		want error // the eager formatting of the same failure
+		is   error
+	}{
+		{"bad opcode", []byte{0xee, 1, 2}, 0x1234,
+			fmt.Errorf("%w: %#02x at %#x", ErrBadOpcode, byte(0xee), uint32(0x1234)), ErrBadOpcode},
+		{"zero opcode", []byte{0x00}, 0,
+			fmt.Errorf("%w: %#02x at %#x", ErrBadOpcode, byte(0), uint32(0)), ErrBadOpcode},
+		{"truncated", Encode(nil, Inst{Op: OpMovRI, Rd: 1, Imm: 5})[:3], 0x40,
+			fmt.Errorf("%w: %s at %#x needs %d bytes, have %d", ErrTruncated, OpMovRI, uint32(0x40), 6, 3), ErrTruncated},
+		{"single register", []byte{byte(OpPush), 16}, 0x10000,
+			fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, OpPush, byte(16), uint32(0x10000)), ErrBadOperand},
+		{"shift-immediate register", []byte{byte(OpShlI), 0x21, 3}, 0x7,
+			fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, OpShlI, byte(0x21), uint32(0x7)), ErrBadOperand},
+		{"reg-imm register", []byte{byte(OpAddI), 0xff, 0, 0}, 0x8,
+			fmt.Errorf("%w: %s reg %d at %#x", ErrBadOperand, OpAddI, byte(0xff), uint32(0x8)), ErrBadOperand},
+		{"loadr index register", []byte{byte(OpLoadR), 0x12, 99}, 0xabc,
+			fmt.Errorf("%w: %s index reg %d at %#x", ErrBadOperand, OpLoadR, byte(99), uint32(0xabc)), ErrBadOperand},
+		{"storer index register", []byte{byte(OpStoreR), 0x12, 16}, 0xabd,
+			fmt.Errorf("%w: %s index reg %d at %#x", ErrBadOperand, OpStoreR, byte(16), uint32(0xabd)), ErrBadOperand},
+		{"movi register", []byte{byte(OpMovRI), 200, 0, 0, 0, 0}, 0xfffffff0,
+			fmt.Errorf("%w: movi reg %d at %#x", ErrBadOperand, byte(200), uint32(0xfffffff0)), ErrBadOperand},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := Decode(tt.buf, tt.addr)
+			if err == nil {
+				t.Fatal("Decode succeeded")
+			}
+			if got, want := err.Error(), tt.want.Error(); got != want {
+				t.Errorf("Error() = %q, want %q", got, want)
+			}
+			if !errors.Is(err, tt.is) {
+				t.Errorf("errors.Is(%v, %v) = false", err, tt.is)
+			}
+		})
 	}
 }
