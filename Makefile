@@ -40,8 +40,11 @@ realbin:
 	./scripts/realbin_fixtures.sh
 	$(GO) test ./internal/realbin/...
 
+# perfbench is its own module (replace ../), so ./... skips it; vet it
+# separately since it compiles against the harness and cpu APIs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 fmt:
 	gofmt -l -w .

@@ -204,7 +204,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		doneCount int
 		instTotal uint64
 	)
-	r.Shard(ctx, len(rep.Rows), func(ctx context.Context, i int) {
+	panics := r.Shard(ctx, len(rep.Rows), func(ctx context.Context, i int) {
 		row := &rep.Rows[i]
 		if row.Error != "" {
 			return
@@ -223,6 +223,9 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 
 	for i := range rep.Rows {
 		row := &rep.Rows[i]
+		if err := panics[i]; err != nil && row.Error == "" {
+			row.Error = harness.FirstLine(err.Error())
+		}
 		// A cell the shard never reached (cancellation) reports why.
 		if row.Error == "" && row.Stats.ChainsBuilt == 0 && row.Stats.Leaks == 0 &&
 			row.Static.PoolSize == 0 {

@@ -19,17 +19,6 @@ const pageSize = 1 << gadget.PageBits
 // counterpart: its tables live in processor-protected pages.
 const mapEntryBytes = 8
 
-// executedImage returns the image a pipeline in the given mode fetches from.
-func executedImage(res *ilr.Result, mode cpu.Mode) *program.Image {
-	switch mode {
-	case cpu.ModeNaiveILR:
-		return res.Scattered
-	case cpu.ModeVCFR:
-		return res.VCFR
-	}
-	return res.Orig
-}
-
 // viewImage wraps the attacker's reconstructed bytes as a scannable image.
 // Unknown bytes are zero, which the decoder rejects, so the scanners only
 // ever walk bytes the attacker has actually seen.
@@ -100,7 +89,7 @@ func newOracle(app *harness.App, mode cpu.Mode, rng *rand.Rand, st *Stats) (*ora
 		o.mapPages = (len(o.origAddrs)*mapEntryBytes + pageSize - 1) / pageSize
 		o.intended = make(map[uint32]bool, len(o.origAddrs))
 	default:
-		text := executedImage(app.R, mode).Text()
+		text := cpu.Deploy(app.R, mode).Img.Text()
 		o.viewAddr, o.viewData = text.Addr, make([]byte, len(text.Data))
 	}
 	o.resetEpoch()
@@ -109,7 +98,7 @@ func newOracle(app *harness.App, mode cpu.Mode, rng *rand.Rand, st *Stats) (*ora
 
 // resetEpoch clears the epoch-scoped channels and draws fresh serve orders.
 func (o *oracle) resetEpoch() {
-	pages := gadget.TextPages(executedImage(o.res, o.mode))
+	pages := gadget.TextPages(cpu.Deploy(o.res, o.mode).Img)
 	o.codeOrder = append([]uint32(nil), pages...)
 	o.rng.Shuffle(len(o.codeOrder), func(i, j int) {
 		o.codeOrder[i], o.codeOrder[j] = o.codeOrder[j], o.codeOrder[i]
@@ -129,7 +118,7 @@ func (o *oracle) resetEpoch() {
 // dies (it described the old image's randomized immediates); under naive
 // ILR the original-space bytes already paired stay good.
 func (o *oracle) applyEpoch(next *ilr.Result) error {
-	if err := o.victim.Rerandomize(executedImage(next, o.mode), next.Tables, next.RandRA); err != nil {
+	if err := o.victim.Rerandomize(next); err != nil {
 		return err
 	}
 	o.res = next
@@ -197,7 +186,7 @@ func (o *oracle) leakCodePage() {
 	if o.mode == cpu.ModeNaiveILR {
 		return
 	}
-	text := executedImage(o.res, o.mode).Text()
+	text := cpu.Deploy(o.res, o.mode).Img.Text()
 	lo, hi := pg<<gadget.PageBits, (pg+1)<<gadget.PageBits
 	if lo < text.Addr {
 		lo = text.Addr

@@ -164,20 +164,8 @@ func (s *System) Pipeline(mode cpu.Mode, mutate func(*cpu.Config)) (*cpu.Pipelin
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	var img *program.Image
-	var trans emu.Translator
-	var randRA map[uint32]uint32
-	switch mode {
-	case cpu.ModeBaseline:
-		img = s.rewrite.Orig
-	case cpu.ModeNaiveILR:
-		img, trans = s.rewrite.Scattered, s.rewrite.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = s.rewrite.VCFR, s.rewrite.Tables, s.rewrite.RandRA
-	default:
-		return nil, fmt.Errorf("core: unknown cpu mode %v", mode)
-	}
-	return cpu.New(img, cfg, trans, randRA)
+	d := cpu.Deploy(s.rewrite, mode)
+	return cpu.New(d.Img, cfg, d.Trans, d.RandRA)
 }
 
 // Simulate runs the cycle-level pipeline in the given architecture mode.

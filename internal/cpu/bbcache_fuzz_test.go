@@ -7,7 +7,6 @@ import (
 	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
-	"vcfr/internal/program"
 	"vcfr/internal/workloads"
 )
 
@@ -70,16 +69,7 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 
 		// The executed image: pokes must land on the bytes this mode
 		// actually fetches (the scattered/VCFR image, not the original).
-		executed := func(r *ilr.Result) *program.Image {
-			switch mode {
-			case cpu.ModeNaiveILR:
-				return r.Scattered
-			case cpu.ModeVCFR:
-				return r.VCFR
-			}
-			return r.Orig
-		}
-		text := executed(res).Seg("text")
+		text := cpu.Deploy(res, mode).Img.Seg("text")
 		if text == nil || len(text.Data) == 0 {
 			t.Skip("no text segment")
 		}
@@ -150,16 +140,15 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 				if err != nil {
 					t.Fatal(err) // deterministic rewrite; never fails
 				}
-				img := executed(next)
-				if cerr := cached.Rerandomize(img, next.Tables, next.RandRA); cerr != nil {
+				if cerr := cached.Rerandomize(next); cerr != nil {
 					t.Fatalf("record %d: cached swap: %v", rec, cerr)
 				}
-				if derr := direct.Rerandomize(img, next.Tables, next.RandRA); derr != nil {
+				if derr := direct.Rerandomize(next); derr != nil {
 					t.Fatalf("record %d: direct swap: %v", rec, derr)
 				}
 				res = next
 				// Pokes must now land on the new epoch's bytes.
-				if nt := img.Seg("text"); nt != nil && len(nt.Data) > 0 {
+				if nt := cpu.Deploy(next, mode).Img.Seg("text"); nt != nil && len(nt.Data) > 0 {
 					text = nt
 				}
 				if !compare(rec) {

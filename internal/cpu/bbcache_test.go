@@ -10,10 +10,8 @@ import (
 
 	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
-	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
-	"vcfr/internal/program"
 	"vcfr/internal/workloads"
 )
 
@@ -25,20 +23,8 @@ func pipeFor(t testing.TB, res *ilr.Result, mode cpu.Mode, input []byte,
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	var (
-		img    *program.Image
-		trans  emu.Translator
-		randRA map[uint32]uint32
-	)
-	switch mode {
-	case cpu.ModeBaseline:
-		img = res.Orig
-	case cpu.ModeNaiveILR:
-		img, trans = res.Scattered, res.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = res.VCFR, res.Tables, res.RandRA
-	}
-	p, err := cpu.New(img, cfg, trans, randRA)
+	d := cpu.Deploy(res, mode)
+	p, err := cpu.New(d.Img, cfg, d.Trans, d.RandRA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,30 +18,20 @@ import (
 // (image, mode) point of the differential sweep.
 func lockstepPair(t *testing.T, res *ilr.Result, mode cpu.Mode, input []byte) (*cpu.Pipeline, *emu.Machine) {
 	t.Helper()
-	var (
-		p   *cpu.Pipeline
-		m   *emu.Machine
-		err error
-	)
-	switch mode {
-	case cpu.ModeBaseline:
-		p, err = cpu.New(res.Orig, cpu.DefaultConfig(cpu.ModeBaseline), nil, nil)
-		if err == nil {
-			m, err = emu.NewMachine(res.Orig, emu.Config{Mode: emu.ModeNative, Input: input})
-		}
-	case cpu.ModeVCFR:
-		p, err = cpu.New(res.VCFR, cpu.DefaultConfig(cpu.ModeVCFR), res.Tables, res.RandRA)
-		if err == nil {
-			m, err = emu.NewMachine(res.VCFR, emu.Config{
-				Mode: emu.ModeVCFR, Trans: res.Tables, RandRA: res.RandRA, Input: input})
-		}
-	default:
+	ref := map[cpu.Mode]emu.Mode{cpu.ModeBaseline: emu.ModeNative, cpu.ModeVCFR: emu.ModeVCFR}[mode]
+	if ref == 0 {
 		t.Fatalf("no lockstep reference for mode %v", mode)
 	}
+	d := cpu.Deploy(res, mode)
+	p, err := cpu.New(d.Img, cpu.DefaultConfig(mode), d.Trans, d.RandRA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.SetInput(input)
+	m, err := emu.NewMachine(d.Img, emu.Config{Mode: ref, Trans: d.Trans, RandRA: d.RandRA, Input: input})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return p, m
 }
 

@@ -68,7 +68,8 @@ type SchedStats struct {
 	TenantsBound uint64 // tenants pinned to this core
 }
 
-// ClusterProc describes one tenant process.
+// ClusterProc describes one process: the image it executes, its
+// randomization context and its input. Deploy fills it from a rewrite.
 type ClusterProc struct {
 	Img    *program.Image
 	Trans  emu.Translator

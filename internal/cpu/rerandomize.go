@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vcfr/internal/emu"
+	"vcfr/internal/ilr"
 	"vcfr/internal/isa"
 	"vcfr/internal/program"
 )
@@ -17,8 +18,8 @@ import (
 // control to it faults on the default-deny prohibition check.
 //
 // Rerandomize is the processor/kernel half of that hand-off. The caller
-// produces the new epoch's artifacts (ilr.Result.Rerandomize) and passes the
-// mode-appropriate executed image plus the new translator; Rerandomize swaps
+// produces the new epoch's artifacts (ilr.Result.Rerandomize); Rerandomize
+// picks this pipeline's mode's image and tables from them (Deploy) and swaps
 // the live pipeline onto them in place, preserving architectural state:
 //
 //   - the executed image's text bytes are rewritten in memory (under VCFR the
@@ -43,13 +44,12 @@ import (
 // practice; the documented approximation is that a program storing a
 // deliberately crafted integer equal to an old randomized address would see
 // it re-translated.
-func (p *Pipeline) Rerandomize(img *program.Image, trans emu.Translator, randRA map[uint32]uint32) error {
+func (p *Pipeline) Rerandomize(next *ilr.Result) error {
 	if p.cfg.Mode == ModeBaseline {
 		return fmt.Errorf("cpu: mode %v does not re-randomize", p.cfg.Mode)
 	}
-	if trans == nil {
-		return fmt.Errorf("cpu: Rerandomize requires a Translator")
-	}
+	d := Deploy(next, p.cfg.Mode)
+	img, trans := d.Img, d.Trans
 	old := p.trans
 
 	switch p.cfg.Mode {
@@ -96,7 +96,7 @@ func (p *Pipeline) Rerandomize(img *program.Image, trans emu.Translator, randRA 
 			}
 		}
 		p.trans = trans
-		p.randRA = randRA
+		p.randRA = d.RandRA
 		// The DRC hierarchy resolves misses through the translator it was
 		// built with and its entries cache old-epoch pairs: rebuild, keeping
 		// the accumulated statistics (the swap itself counts as a flush).

@@ -248,7 +248,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	}
 
 	// Phase 1: clean references, sharded across the pool.
-	r.Shard(ctx, len(cells), func(ctx context.Context, i int) {
+	refPanics := r.Shard(ctx, len(cells), func(ctx context.Context, i int) {
 		c := cells[i]
 		if c.err != nil {
 			return
@@ -257,7 +257,10 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			c.err = err
 		}
 	})
-	for _, c := range cells {
+	for i, c := range cells {
+		if c.err == nil {
+			c.err = refPanics[i]
+		}
 		if c.err == nil && c.trace == nil {
 			c.err = harness.NotExecuted(ctx, "injection")
 		}
@@ -309,7 +312,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		doneCount int
 		instTotal uint64
 	)
-	r.Shard(ctx, len(tasks), func(ctx context.Context, i int) {
+	injPanics := r.Shard(ctx, len(tasks), func(ctx context.Context, i int) {
 		t := tasks[i]
 		o, insts := runInjection(ctx, t.cell, t.fault)
 		outcomes[i] = o
@@ -327,10 +330,16 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// Phase 4: aggregate in plan order.
 	rep := &Report{Config: cfg, Rows: rows}
 	for i, t := range tasks {
-		if o := outcomes[i]; o != "" {
-			rep.Rows[t.row].Stats.Add(o)
-		} else if rep.Rows[t.row].Error == "" {
-			rep.Rows[t.row].Error = harness.FirstLine(harness.NotExecuted(ctx, "injection").Error())
+		row := &rep.Rows[t.row]
+		switch o := outcomes[i]; {
+		case injPanics[i] != nil:
+			if row.Error == "" {
+				row.Error = harness.FirstLine(injPanics[i].Error())
+			}
+		case o != "":
+			row.Stats.Add(o)
+		case row.Error == "":
+			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "injection").Error())
 		}
 	}
 	for i := range rep.Rows {

@@ -431,18 +431,13 @@ func ExtensionMulticore(s *Sweep, cfg Config) (*Table, error) {
 				}
 				apps[i] = a
 			}
-			proc := func(a *App) cpu.ClusterProc {
-				return cpu.ClusterProc{
-					Img: a.R.VCFR, Trans: a.R.Tables, RandRA: a.R.RandRA, Input: a.W.Input,
-				}
-			}
 			solo := make([]uint64, 2)
 			for i := range apps {
 				if err := ctx.Err(); err != nil {
 					return Cell{}, err
 				}
 				cl, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR),
-					[]cpu.ClusterProc{proc(apps[i])})
+					[]cpu.ClusterProc{apps[i].Proc(cpu.ModeVCFR)})
 				if err != nil {
 					return Cell{}, err
 				}
@@ -456,7 +451,7 @@ func ExtensionMulticore(s *Sweep, cfg Config) (*Table, error) {
 				return Cell{}, err
 			}
 			cl, err := cpu.NewCluster(cpu.DefaultConfig(cpu.ModeVCFR),
-				[]cpu.ClusterProc{proc(apps[0]), proc(apps[1])})
+				[]cpu.ClusterProc{apps[0].Proc(cpu.ModeVCFR), apps[1].Proc(cpu.ModeVCFR)})
 			if err != nil {
 				return Cell{}, err
 			}

@@ -14,7 +14,6 @@ import (
 	"vcfr/internal/cpu"
 	"vcfr/internal/emu"
 	"vcfr/internal/ilr"
-	"vcfr/internal/program"
 	"vcfr/internal/workloads"
 )
 
@@ -101,22 +100,6 @@ func PrepareOpts(name string, cfg Config, opts ilr.Options) (*App, error) {
 	return &App{W: w, R: res}, nil
 }
 
-// artifacts selects the executed image and the randomization artifacts for
-// one architecture mode.
-func (a *App) artifacts(mode cpu.Mode) (img *program.Image, trans emu.Translator, randRA map[uint32]uint32, err error) {
-	switch mode {
-	case cpu.ModeBaseline:
-		img = a.R.Orig
-	case cpu.ModeNaiveILR:
-		img, trans = a.R.Scattered, a.R.Tables
-	case cpu.ModeVCFR:
-		img, trans, randRA = a.R.VCFR, a.R.Tables, a.R.RandRA
-	default:
-		err = fmt.Errorf("harness: unknown mode %v", mode)
-	}
-	return img, trans, randRA, err
-}
-
 // Pipeline builds a fresh pipeline for one run of the app in the given mode,
 // with the workload's input installed. mutate, if non-nil, adjusts the
 // default machine configuration (DRC size, ablation switches, ...).
@@ -125,16 +108,21 @@ func (a *App) Pipeline(mode cpu.Mode, mutate func(*cpu.Config)) (*cpu.Pipeline, 
 	if mutate != nil {
 		mutate(&ccfg)
 	}
-	img, trans, randRA, err := a.artifacts(mode)
-	if err != nil {
-		return nil, ccfg, err
-	}
-	p, err := cpu.New(img, ccfg, trans, randRA)
+	d := cpu.Deploy(a.R, mode)
+	p, err := cpu.New(d.Img, ccfg, d.Trans, d.RandRA)
 	if err != nil {
 		return nil, ccfg, err
 	}
 	p.SetInput(a.W.Input)
 	return p, ccfg, nil
+}
+
+// Proc is the app deployed in the given mode with the workload's input
+// installed: one cluster tenant.
+func (a *App) Proc(mode cpu.Mode) cpu.ClusterProc {
+	d := cpu.Deploy(a.R, mode)
+	d.Input = a.W.Input
+	return d
 }
 
 // Run simulates the app in the given mode. mutate, if non-nil, adjusts the
@@ -249,8 +237,9 @@ func mean(vs []float64) float64 {
 	return s / float64(len(vs))
 }
 
-// geomean returns the geometric mean of positive values.
-func geomean(vs []float64) float64 {
+// Geomean returns the geometric mean of positive values (0 when empty or
+// when any value is not positive).
+func Geomean(vs []float64) float64 {
 	if len(vs) == 0 {
 		return 0
 	}

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -109,14 +108,16 @@ func (r *Runner) slots() chan struct{} {
 // worker pool and returns once all of them finished or the context was
 // cancelled. Indices whose slot acquisition loses to cancellation are
 // simply never invoked — callers detect skipped work by the absence of a
-// result for that index, which is how the fault-injection campaign reports
-// partial coverage. fn runs with panic capture; a panicking index does not
-// take down its worker or the sweep (the panic value is discarded, so fn
-// should capture its own failure state before returning).
-func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, i int)) {
+// result for that index, which is how the campaigns report partial
+// coverage. fn runs with panic capture: a panicking index does not take
+// down its worker or the sweep, and its panic comes back as that index's
+// entry of the returned slice (nil for every index that returned or never
+// ran), for the caller to fold into the unit's error row.
+func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, i int)) []error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	panics := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -128,11 +129,16 @@ func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, 
 			case <-ctx.Done():
 				return
 			}
-			defer func() { _ = recover() }()
+			defer func() {
+				if v := recover(); v != nil {
+					panics[i] = fmt.Errorf("panic: %v", v)
+				}
+			}()
 			fn(ctx, i)
 		}(i)
 	}
 	wg.Wait()
+	return panics
 }
 
 // Sweep returns the execution context for invoking one experiment function
@@ -226,13 +232,19 @@ func CellSeed(base int64, expID, cell string) int64 {
 }
 
 // mapCells shards fn over names: each name becomes one cell with its own
-// derived seed, run on the runner's worker pool. Results come back in the
-// order of names. A cell that fails (error, panic, timeout) yields an
-// error row instead of aborting the sweep.
+// derived seed, run on the runner's worker pool (Shard). Results come back
+// in the order of names. A cell that fails (error, panic, timeout) or that
+// cancellation kept from ever starting yields an error row instead of
+// aborting the sweep.
 func (s *Sweep) mapCells(cfg Config, names []string, fn cellFn) []Cell {
 	cfg = cfg.withDefaults()
 	cells := make([]Cell, len(names))
-	var wg sync.WaitGroup
+	type miss struct {
+		i   int
+		cfg Config
+		key string
+	}
+	var todo []miss
 	for i, name := range names {
 		ccfg := cfg
 		ccfg.Workloads = nil
@@ -242,20 +254,19 @@ func (s *Sweep) mapCells(cfg Config, names []string, fn cellFn) []Cell {
 			cells[i] = c
 			continue
 		}
-		wg.Add(1)
-		go func(i int, name string, ccfg Config) {
-			defer wg.Done()
-			select {
-			case s.r.slots() <- struct{}{}:
-				defer func() { <-s.r.sem }()
-			case <-s.ctx.Done():
-				cells[i] = errCell(name, s.ctx.Err())
-				return
-			}
-			cells[i] = s.runCell(ccfg, name, key, fn)
-		}(i, name, ccfg)
+		todo = append(todo, miss{i, ccfg, key})
 	}
-	wg.Wait()
+	ran := make([]bool, len(todo))
+	s.r.Shard(s.ctx, len(todo), func(_ context.Context, j int) {
+		m := todo[j]
+		ran[j] = true
+		cells[m.i] = s.runCell(m.cfg, names[m.i], m.key, fn)
+	})
+	for j, m := range todo {
+		if !ran[j] {
+			cells[m.i] = errCell(names[m.i], s.ctx.Err())
+		}
+	}
 	return cells
 }
 
@@ -285,13 +296,9 @@ func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (c Cell) {
 // first line of the error lands in the table (panic values carry stacks);
 // the full text stays in Err.
 func errCell(name string, err error) Cell {
-	msg := err.Error()
-	if i := strings.IndexByte(msg, '\n'); i >= 0 {
-		msg = msg[:i]
-	}
 	return Cell{
 		Name: name,
-		Rows: [][]string{{name, "error: " + msg}},
+		Rows: [][]string{{name, "error: " + FirstLine(err.Error())}},
 		Err:  err.Error(),
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -138,6 +140,56 @@ func TestCellPanicBecomesRow(t *testing.T) {
 	}
 	if strings.Contains(cells[1].Rows[0][1], "\n") {
 		t.Error("error row contains a newline (stack leaked into the table)")
+	}
+}
+
+// TestShardReportsPanics: a panicking index comes back as that index's
+// error carrying the panic text, and every other index still runs.
+func TestShardReportsPanics(t *testing.T) {
+	r := NewRunner(2)
+	var mu sync.Mutex
+	ran := make(map[int]bool)
+	errs := r.Shard(context.Background(), 5, func(_ context.Context, i int) {
+		mu.Lock()
+		ran[i] = true
+		mu.Unlock()
+		if i == 2 {
+			panic("unit exploded")
+		}
+	})
+	if len(errs) != 5 {
+		t.Fatalf("errs = %d entries, want 5", len(errs))
+	}
+	for i, err := range errs {
+		if !ran[i] {
+			t.Errorf("index %d never ran", i)
+		}
+		switch {
+		case i == 2 && (err == nil || !strings.Contains(err.Error(), "panic: unit exploded")):
+			t.Errorf("index 2: want the panic text, got %v", err)
+		case i != 2 && err != nil:
+			t.Errorf("index %d: unexpected error %v", i, err)
+		}
+	}
+}
+
+// TestShardCancelledIndicesReportNothing: indices that lose their slot to
+// cancellation are never invoked and report no error.
+func TestShardCancelledIndicesReportNothing(t *testing.T) {
+	r := NewRunner(1)
+	r.slots() <- struct{}{} // hold the only slot: no index can start
+	defer func() { <-r.sem }()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int32
+	errs := r.Shard(ctx, 3, func(context.Context, int) { calls.Add(1) })
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d indices ran after cancellation", n)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("index %d: cancelled index reported %v", i, err)
+		}
 	}
 }
 

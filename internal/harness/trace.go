@@ -18,9 +18,8 @@ import (
 // remaining stream-shaping inputs (rewriter options, program input) so two
 // layouts that happen to share image bytes and seed still key apart.
 func TraceKey(app *App, mode cpu.Mode, maxInsts uint64) trace.Key {
-	img, _, _, _ := app.artifacts(mode)
 	return trace.Key{
-		ImageHash:  imageHash(img),
+		ImageHash:  imageHash(cpu.Deploy(app.R, mode).Img),
 		LayoutSeed: app.R.Opts.Seed,
 		Mode:       mode,
 		MaxInsts:   maxInsts,

@@ -145,23 +145,6 @@ func instanceSeed(base int64, workload string, epoch int) int64 {
 	return harness.CellSeed(base, "multicore", fmt.Sprintf("%s#%d", workload, epoch))
 }
 
-// procFor selects the executed image and randomization artifacts of one
-// prepared instance for a mode.
-func procFor(app *harness.App, mode cpu.Mode) (cpu.ClusterProc, error) {
-	pr := cpu.ClusterProc{Input: app.W.Input, Mode: mode}
-	switch mode {
-	case cpu.ModeBaseline:
-		pr.Img = app.R.Orig
-	case cpu.ModeNaiveILR:
-		pr.Img, pr.Trans = app.R.Scattered, app.R.Tables
-	case cpu.ModeVCFR:
-		pr.Img, pr.Trans, pr.RandRA = app.R.VCFR, app.R.Tables, app.R.RandRA
-	default:
-		return pr, fmt.Errorf("multicore: unknown mode %v", mode)
-	}
-	return pr, nil
-}
-
 // soloRun is one (instance, mode) reference: the tenant alone on one core.
 type soloRun struct {
 	res  cpu.Result
@@ -246,7 +229,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		progMu.Unlock()
 		onProgress(p)
 	}
-	r.Shard(ctx, len(solos)+len(clusters), func(ctx context.Context, u int) {
+	panics := r.Shard(ctx, len(solos)+len(clusters), func(ctx context.Context, u int) {
 		if u < len(solos) {
 			inst, mode := instances[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
 			s := &solos[u]
@@ -269,11 +252,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 				c.err = err
 				return
 			}
-			var err error
-			if procs[i], err = procFor(instances[i].app, mode); err != nil {
-				c.err = err
-				return
-			}
+			procs[i] = instances[i].app.Proc(mode)
 		}
 		cl, err := cpu.NewScheduledCluster(cpu.DefaultConfig(mode),
 			cpu.SchedConfig{Cores: cell.Cores, Quantum: cfg.Quantum}, procs)
@@ -292,6 +271,17 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		}
 		report(insts)
 	})
+
+	// A panicking unit's panic is its error, covering the whole unit.
+	for u, err := range panics {
+		switch {
+		case err == nil:
+		case u < len(solos):
+			solos[u].err = err
+		default:
+			clusters[u-len(solos)].err = err
+		}
+	}
 
 	// Phase 3: aggregate in plan order.
 	rep := &Report{Config: cfg}
@@ -379,7 +369,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 			total.Preemptions += st.Preemptions
 			total.BlockDrops += st.BlockDrops
 		}
-		total.MeanSlowdown = round4(geomean(slowdowns))
+		total.MeanSlowdown = round4(harness.Geomean(slowdowns))
 		rep.Totals = append(rep.Totals, total)
 	}
 
@@ -406,7 +396,7 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 				sum.Switches += total.Switches
 			}
 		}
-		sum.MeanSlowdown = round4(geomean(slowdowns))
+		sum.MeanSlowdown = round4(harness.Geomean(slowdowns))
 		sum.MaxSlowdown = round4(sum.MaxSlowdown)
 		rep.Summaries = append(rep.Summaries, sum)
 	}
@@ -522,18 +512,3 @@ func (rep *Report) Table() *harness.Table {
 
 // round4 keeps the wire floats at 4 decimals so reports are byte-stable.
 func round4(v float64) float64 { return math.Round(v*1e4) / 1e4 }
-
-// geomean returns the geometric mean of positive values (0 when empty).
-func geomean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vs)))
-}

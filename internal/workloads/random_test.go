@@ -54,16 +54,8 @@ func TestRandomProgramsDifferential(t *testing.T) {
 		check("vcfr-emu", r.Out, err)
 
 		for _, mode := range []cpu.Mode{cpu.ModeBaseline, cpu.ModeNaiveILR, cpu.ModeVCFR} {
-			var img = res.Orig
-			var trans emu.Translator
-			var randRA map[uint32]uint32
-			switch mode {
-			case cpu.ModeNaiveILR:
-				img, trans = res.Scattered, res.Tables
-			case cpu.ModeVCFR:
-				img, trans, randRA = res.VCFR, res.Tables, res.RandRA
-			}
-			p, err := cpu.New(img, cpu.DefaultConfig(mode), trans, randRA)
+			d := cpu.Deploy(res, mode)
+			p, err := cpu.New(d.Img, cpu.DefaultConfig(mode), d.Trans, d.RandRA)
 			if err != nil {
 				t.Fatalf("seed %d: %v: %v", seed, mode, err)
 			}
