@@ -24,6 +24,9 @@ test-short:
 # the sharded multi-tenant interference campaign, the fleet coordinator, the
 # content-addressed artifact store, the randomizer (concurrent attack cells
 # re-randomize over one shared CFG) and the gadget scanner those cells run.
+# The fault campaign's walker and forked pipelines share Trans, RandRA and
+# input bytes read-only across workers; each fork shares its walker's
+# decoded blocks read-only.
 race:
 	$(GO) test -race ./internal/harness ./internal/cpu ./internal/emu ./internal/trace ./internal/results ./internal/server ./internal/fault ./internal/attack ./internal/multicore ./internal/fleet ./internal/artifact ./internal/ilr ./internal/gadget
 

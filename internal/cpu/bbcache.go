@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"maps"
+	"slices"
+
 	"vcfr/internal/emu"
 	"vcfr/internal/isa"
 )
@@ -25,8 +28,13 @@ import (
 //
 //   - a store that hits a page containing cached instruction bytes
 //     (self-modifying code; detected in stepTail for both execution paths),
-//   - SetInjector arming (a FetchBytes hook must observe every raw fetch, so
-//     injected runs also bypass the cache entirely),
+//   - SetInjector arming an untargeted hook set (a FetchBytes hook that
+//     observes every raw fetch would miss the ones a pre-decoded block
+//     skips, so such runs also bypass the cache entirely). A targeted set
+//     (InjectHooks.Targeted) neither flushes nor bypasses the cache: the run
+//     stays block-cached up to its one observed instruction, steps that
+//     instruction through the hooked per-instruction path, and returns to
+//     blocks,
 //   - an explicit InvalidateBlocks call, required after mutating program
 //     memory from outside the pipeline (test harnesses, attack payloads,
 //     mid-run re-randomization that rewrites image bytes in place).
@@ -78,10 +86,14 @@ type BlockCacheStats struct {
 // the pages its cached bytes came from.
 type blockCache struct {
 	blocks map[uint32]*bblock
-	// pages marks storage pages (addr >> bbPageBits) that hold cached
-	// instruction bytes. Indexed directly so the per-store check is one
-	// bounds-checked load; stack and heap pages beyond the highest code page
-	// reject on the bounds check alone.
+	// pages marks storage pages that hold cached instruction bytes, as a
+	// window starting at page lo: pages[i] covers page lo+i. The window
+	// spans only the covered code, so a cache whose code sits high in the
+	// address space (naive-ILR storage at ilr.DefaultRandBase) stays small,
+	// and the per-store check is one bounds-checked load — pages below lo
+	// wrap to huge indices and, like pages above the window, reject on the
+	// bounds check alone.
+	lo      uint32
 	pages   []bool
 	flushed bool // latched by flush() so an executing block stops itself
 	stats   BlockCacheStats
@@ -91,23 +103,37 @@ func newBlockCache() *blockCache {
 	return &blockCache{blocks: make(map[uint32]*bblock)}
 }
 
+// clone returns a copy that shares the immutable decoded blocks but owns
+// its index, page watch and counters.
+func (c *blockCache) clone() *blockCache {
+	cp := *c
+	cp.blocks = maps.Clone(c.blocks)
+	cp.pages = slices.Clone(c.pages)
+	return &cp
+}
+
 // cover marks the pages of one cached instruction's byte range.
 func (c *blockCache) cover(addr uint32, n int) {
 	last := (addr + uint32(n) - 1) >> bbPageBits
 	for pg := addr >> bbPageBits; pg <= last; pg++ {
-		if pg >= uint32(len(c.pages)) {
-			np := make([]bool, pg+1)
-			copy(np, c.pages)
-			c.pages = np
+		switch {
+		case len(c.pages) == 0:
+			c.lo, c.pages = pg, make([]bool, 1, 4)
+		case pg < c.lo:
+			grown := make([]bool, uint32(len(c.pages))+c.lo-pg)
+			copy(grown[c.lo-pg:], c.pages)
+			c.lo, c.pages = pg, grown
+		case pg-c.lo >= uint32(len(c.pages)):
+			c.pages = append(c.pages, make([]bool, pg-c.lo+1-uint32(len(c.pages)))...)
 		}
-		c.pages[pg] = true
+		c.pages[pg-c.lo] = true
 	}
 }
 
 // covers reports whether addr lies in a page holding cached bytes.
 func (c *blockCache) covers(addr uint32) bool {
-	pg := addr >> bbPageBits
-	return pg < uint32(len(c.pages)) && c.pages[pg]
+	i := addr>>bbPageBits - c.lo
+	return i < uint32(len(c.pages)) && c.pages[i]
 }
 
 // noteStore invalidates the cache when a store may have rewritten cached

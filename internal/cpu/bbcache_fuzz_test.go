@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"fmt"
 	"testing"
 
 	"vcfr/internal/cpu"
@@ -14,26 +15,33 @@ import (
 // per-instruction reference pipeline through a fuzzed schedule of mid-run
 // events — code-byte rewrites (the shape of a mid-run re-randomization),
 // injector arming/disarming at arbitrary instruction indices, explicit
-// invalidations, and uneven run-segment boundaries — and demands identical
-// architectural state, identical counters, and identical errors after every
-// segment. Any stale cached decode, missed invalidation, or mis-batched
-// statistic diverges the pair.
+// invalidations, forks, and uneven run-segment boundaries — and demands
+// identical architectural state, identical counters, and identical errors
+// after every segment. Any stale cached decode, missed invalidation,
+// mis-batched statistic or state a fork shares with its parent diverges the
+// pair.
 //
 // The script is interpreted as 4-byte records [action, a, b, c]:
 //
-//	action%6 == 0  run a segment of 1 + (a|b<<8)%6000 instructions
-//	action%6 == 1  rewrite the text byte at offset (a|b<<8)%len(text) to c
+//	action%8 == 0  run a segment of 1 + (a|b<<8)%6000 instructions
+//	action%8 == 1  rewrite the text byte at offset (a|b<<8)%len(text) to c
 //	               on both pipelines, then InvalidateBlocks (a re-rand poke)
-//	action%6 == 2  arm deterministic injector hooks parameterized by a, b
-//	action%6 == 3  disarm the injector
-//	action%6 == 4  full mid-run re-randomization: rewrite the program with a
+//	action%8 == 2  arm deterministic injector hooks parameterized by a, b
+//	action%8 == 3  disarm the injector
+//	action%8 == 4  full mid-run re-randomization: rewrite the program with a
 //	               fresh seed derived from a|b<<8 and swap both pipelines
 //	               onto the new layout (no-op under baseline mode)
-//	action%6 == 5  scheduler context switch: SwitchIn on both pipelines —
+//	action%8 == 5  scheduler context switch: SwitchIn on both pipelines —
 //	               the DRC/iTLB flush plus per-process-key block drop a
 //	               multi-tenant cluster charges when a core changes tenants.
 //	               The cached pipeline loses its memoized blocks, the direct
 //	               one has none: timing and state must still agree exactly.
+//	action%8 == 6  arm a targeted hook set at seq ran+(a|b<<8)%3000 on both
+//	               pipelines: the cached one stays on blocks around it, and
+//	               on both the hooks must fire once, at exactly that seq
+//	action%8 == 7  fork both pipelines and continue the script on the forks;
+//	               the parents are parked, and at the end each parked pair
+//	               is drained and must still agree with itself
 func FuzzBlockCacheInvalidation(f *testing.F) {
 	f.Add(uint32(300), []byte{0, 100, 10, 0, 1, 40, 0, byte(isa.OpNop), 0, 200, 20, 0})
 	f.Add(uint32(301), []byte{0, 0, 4, 0, 2, 7, 3, 0, 0, 0, 8, 0, 3, 0, 0, 0, 0, 0, 40, 0})
@@ -91,23 +99,69 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 			}
 		}
 
-		compare := func(stage int) bool {
-			t.Helper()
-			cs, ds := cached.State(), direct.State()
-			if cs.R != ds.R || cs.Z != ds.Z || cs.N != ds.N || cs.C != ds.C || cs.V != ds.V {
-				t.Fatalf("record %d: architectural state diverged", stage)
+		// Targeted hook calls, per pipeline; both must see the same ones.
+		var cachedHits, directHits []uint64
+		targeted := func(at uint64, hits *[]uint64) *cpu.InjectHooks {
+			calls := 0
+			note := func(seq uint64) {
+				if calls++; seq != at || calls > 2 {
+					t.Errorf("targeted hook call %d at seq %d, armed for %d", calls, seq, at)
+				}
+				*hits = append(*hits, seq)
 			}
-			if cached.PC() != direct.PC() || cs.Halted != ds.Halted {
-				t.Fatalf("record %d: pc/halt diverged: %#x/%v vs %#x/%v",
-					stage, cached.PC(), cs.Halted, direct.PC(), ds.Halted)
+			return &cpu.InjectHooks{
+				Targeted: true, At: at,
+				FetchBytes: func(seq uint64, addr uint32, buf []byte) {
+					note(seq)
+					buf[len(buf)-1] ^= 0x01
+				},
+				Outcome: func(seq uint64, in isa.Inst, out *emu.Outcome) {
+					note(seq)
+					if out.MemKind != emu.MemNone {
+						out.MemAddr ^= 4
+					}
+				},
+			}
+		}
+
+		type pair struct{ cached, direct *cpu.Pipeline }
+		var parked []pair
+
+		compareArch := func(label string, c, d *cpu.Pipeline) bool {
+			t.Helper()
+			cs, ds := c.State(), d.State()
+			if cs.R != ds.R || cs.Z != ds.Z || cs.N != ds.N || cs.C != ds.C || cs.V != ds.V {
+				t.Fatalf("%s: architectural state diverged", label)
+			}
+			if c.PC() != d.PC() || cs.Halted != ds.Halted {
+				t.Fatalf("%s: pc/halt diverged: %#x/%v vs %#x/%v",
+					label, c.PC(), cs.Halted, d.PC(), ds.Halted)
 			}
 			return !cs.Halted
+		}
+		compare := func(stage int) bool {
+			t.Helper()
+			if fmt.Sprint(cachedHits) != fmt.Sprint(directHits) {
+				t.Fatalf("record %d: targeted hooks diverged: cached %v, direct %v",
+					stage, cachedHits, directHits)
+			}
+			return compareArch(fmt.Sprintf("record %d", stage), cached, direct)
+		}
+		drain := func(label string, c, d *cpu.Pipeline, cap uint64) {
+			t.Helper()
+			cr, cerr := c.Run(cap)
+			dr, derr := d.Run(cap)
+			if (cerr == nil) != (derr == nil) || (cerr != nil && cerr.Error() != derr.Error()) {
+				t.Fatalf("%s: error diverged:\n cached: %v\n direct: %v", label, cerr, derr)
+			}
+			diffResults(t, label, cr, dr)
+			compareArch(label, c, d)
 		}
 
 		var ran uint64
 		for rec := 0; rec+4 <= len(script) && ran < 60_000; rec += 4 {
 			action, a, b, c := script[rec], script[rec+1], script[rec+2], script[rec+3]
-			switch action % 6 {
+			switch action % 8 {
 			case 0:
 				ran += 1 + (uint64(a)|uint64(b)<<8)%6000
 				cr, cerr := cached.Run(ran)
@@ -157,16 +211,25 @@ func FuzzBlockCacheInvalidation(f *testing.F) {
 			case 5:
 				cached.SwitchIn()
 				direct.SwitchIn()
+			case 6:
+				at := ran + (uint64(a)|uint64(b)<<8)%3000
+				cached.SetInjector(targeted(at, &cachedHits))
+				direct.SetInjector(targeted(at, &directHits))
+			case 7:
+				if len(parked) == 3 {
+					break // bound the work a long script can queue up
+				}
+				parked = append(parked, pair{cached, direct})
+				cached, direct = cached.Fork(), direct.Fork()
 			}
 		}
 		// Drain to a final common cap so every schedule ends in a compared
 		// state even when the script had no trailing run record.
-		cr, cerr := cached.Run(ran + 2000)
-		dr, derr := direct.Run(ran + 2000)
-		if (cerr == nil) != (derr == nil) || (cerr != nil && cerr.Error() != derr.Error()) {
-			t.Fatalf("final drain: error diverged:\n cached: %v\n direct: %v", cerr, derr)
+		drain("final drain", cached, direct, ran+2000)
+		compare(len(script))
+		for i, pp := range parked {
+			drain(fmt.Sprintf("parked parents %d", i), pp.cached, pp.direct, ran+2000)
 		}
-		diffResults(t, "final drain", cr, dr)
 		compare(len(script))
 	})
 }

@@ -1,5 +1,7 @@
 package cpu
 
+import "slices"
+
 // This file implements the front-end predictors. Everything is indexed with
 // the de-randomized (original-space) PC by default — the key property that
 // keeps VCFR's prediction accuracy identical to the baseline's (Sec. IV-D).
@@ -91,29 +93,42 @@ type btbEntry struct {
 
 // btb is a set-associative branch target buffer.
 type btb struct {
-	sets  [][]btbEntry
+	ways  []btbEntry // every set's ways, set-major: one backing array
+	assoc int
 	mask  uint32
 	clock uint64
 }
 
 func newBTB(entries, assoc int) *btb {
 	nsets := entries / assoc
-	b := &btb{sets: make([][]btbEntry, nsets), mask: uint32(nsets - 1)}
-	for i := range b.sets {
-		b.sets[i] = make([]btbEntry, assoc)
-	}
-	return b
+	return &btb{ways: make([]btbEntry, nsets*assoc), assoc: assoc, mask: uint32(nsets - 1)}
+}
+
+// clone returns an independent copy of the buffer.
+func (b *btb) clone() *btb {
+	cp := *b
+	cp.ways = slices.Clone(b.ways)
+	return &cp
 }
 
 func (b *btb) index(pc uint32) (uint32, uint32) {
 	return (pc >> 1) & b.mask, pc
 }
 
+// setOf returns set n of a set-major array of assoc-way sets. The
+// full-slice expression caps it at its own ways, so no set can ever grow
+// into the next.
+func setOf[T any](ways []T, n uint32, assoc int) []T {
+	i := int(n) * assoc
+	return ways[i : i+assoc : i+assoc]
+}
+
 // lookup returns the stored target pair for the transfer at pc.
 func (b *btb) lookup(pc uint32) (targetPair, bool) {
 	set, tag := b.index(pc)
-	for w := range b.sets[set] {
-		e := &b.sets[set][w]
+	s := setOf(b.ways, set, b.assoc)
+	for w := range s {
+		e := &s[w]
 		if e.valid && e.tag == tag {
 			b.clock++
 			e.lru = b.clock
@@ -126,10 +141,11 @@ func (b *btb) lookup(pc uint32) (targetPair, bool) {
 // install records the taken target pair for the transfer at pc.
 func (b *btb) install(pc uint32, tgt targetPair) {
 	set, tag := b.index(pc)
+	s := setOf(b.ways, set, b.assoc)
 	b.clock++
 	victim, oldest := 0, ^uint64(0)
-	for w := range b.sets[set] {
-		e := &b.sets[set][w]
+	for w := range s {
+		e := &s[w]
 		if e.valid && e.tag == tag {
 			e.tgt, e.lru = tgt, b.clock
 			return
@@ -142,7 +158,7 @@ func (b *btb) install(pc uint32, tgt targetPair) {
 			victim, oldest = w, e.lru
 		}
 	}
-	b.sets[set][victim] = btbEntry{valid: true, tag: tag, tgt: tgt, lru: b.clock}
+	s[victim] = btbEntry{valid: true, tag: tag, tgt: tgt, lru: b.clock}
 }
 
 // ras is the return-address stack, holding (orig, rand) pairs. Overflow

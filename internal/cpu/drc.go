@@ -1,6 +1,10 @@
 package cpu
 
-import "vcfr/internal/emu"
+import (
+	"slices"
+
+	"vcfr/internal/emu"
+)
 
 // This file implements the De-Randomization Cache of Sec. IV-B: a small,
 // unified (randomization + de-randomization) lookup buffer in front of the
@@ -65,7 +69,8 @@ type drcEntry struct {
 // direction — exists as the ablation that justifies it.
 type drc struct {
 	split bool
-	banks [2][][]drcEntry // [0] unified/derand, [1] rand when split
+	assoc int
+	banks [2][]drcEntry // [0] unified/derand, [1] rand when split; set-major
 	masks [2]uint32
 	clock uint64
 	stats DRCStats
@@ -73,25 +78,35 @@ type drc struct {
 }
 
 func newDRC(entries, assoc int, split bool, trans emu.Translator) *drc {
-	d := &drc{split: split, trans: trans}
-	mk := func(n int) ([][]drcEntry, uint32) {
-		nsets := n / assoc
-		if nsets < 1 {
-			nsets = 1
-		}
-		sets := make([][]drcEntry, nsets)
-		for i := range sets {
-			sets[i] = make([]drcEntry, assoc)
-		}
-		return sets, uint32(nsets - 1)
+	d := &drc{split: split, assoc: assoc, trans: trans}
+	mk := func(b, n int) {
+		nsets := max(n/assoc, 1)
+		d.banks[b] = make([]drcEntry, nsets*assoc)
+		d.masks[b] = uint32(nsets - 1)
 	}
 	if split {
-		d.banks[0], d.masks[0] = mk(entries / 2)
-		d.banks[1], d.masks[1] = mk(entries / 2)
+		mk(0, entries/2)
+		mk(1, entries/2)
 	} else {
-		d.banks[0], d.masks[0] = mk(entries)
+		mk(0, entries)
 	}
 	return d
+}
+
+// clone returns an independent copy of the buffer's entries and counters;
+// the Translator is shared (read-only).
+func (d *drc) clone() *drc {
+	cp := *d
+	for b := range d.banks {
+		cp.banks[b] = slices.Clone(d.banks[b])
+	}
+	return &cp
+}
+
+// set returns the ways of the set key hashes to in kind's bank.
+func (d *drc) set(kind lookupKind, key uint32) []drcEntry {
+	b := d.bank(kind)
+	return setOf(d.banks[b], d.index(key, kind), d.assoc)
 }
 
 func (d *drc) bank(kind lookupKind) int {
@@ -121,11 +136,10 @@ func (d *drc) lookup(kind lookupKind, key uint32) (val uint32, hit, ok bool) {
 	} else {
 		d.stats.DerandLookups++
 	}
-	sets := d.banks[d.bank(kind)]
-	set := d.index(key, kind)
+	s := d.set(kind, key)
 	d.clock++
-	for w := range sets[set] {
-		e := &sets[set][w]
+	for w := range s {
+		e := &s[w]
 		if e.valid && e.key == key && e.derand == (kind == lookupDerand) {
 			e.lru = d.clock
 			return e.val, true, true
@@ -152,12 +166,11 @@ func (d *drc) lookup(kind lookupKind, key uint32) (val uint32, hit, ok bool) {
 
 func (d *drc) install(kind lookupKind, key, val uint32) {
 	d.stats.Installs++
-	sets := d.banks[d.bank(kind)]
-	set := d.index(key, kind)
+	s := d.set(kind, key)
 	d.clock++
 	victim, oldest := 0, ^uint64(0)
-	for w := range sets[set] {
-		e := &sets[set][w]
+	for w := range s {
+		e := &s[w]
 		if !e.valid {
 			victim, oldest = w, 0
 			break
@@ -166,7 +179,7 @@ func (d *drc) install(kind lookupKind, key, val uint32) {
 			victim, oldest = w, e.lru
 		}
 	}
-	sets[set][victim] = drcEntry{
+	s[victim] = drcEntry{
 		valid:  true,
 		derand: kind == lookupDerand,
 		key:    key,
@@ -178,10 +191,9 @@ func (d *drc) install(kind lookupKind, key, val uint32) {
 // probe checks residency without consulting the tables or counting a
 // top-level lookup (used for the level-2 buffer).
 func (d *drc) probe(kind lookupKind, key uint32) (uint32, bool) {
-	sets := d.banks[d.bank(kind)]
-	set := d.index(key, kind)
-	for w := range sets[set] {
-		e := &sets[set][w]
+	s := d.set(kind, key)
+	for w := range s {
+		e := &s[w]
 		if e.valid && e.key == key && e.derand == (kind == lookupDerand) {
 			d.clock++
 			e.lru = d.clock
@@ -195,10 +207,8 @@ func (d *drc) probe(kind lookupKind, key uint32) (uint32, bool) {
 // so a context switch empties the buffer.
 func (d *drc) flush() {
 	for b := range d.banks {
-		for set := range d.banks[b] {
-			for w := range d.banks[b][set] {
-				d.banks[b][set][w].valid = false
-			}
+		for i := range d.banks[b] {
+			d.banks[b][i].valid = false
 		}
 	}
 	d.stats.Flushes++

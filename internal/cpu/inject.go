@@ -27,21 +27,39 @@ import (
 // seq is the zero-based index of the executing instruction (the commit
 // count before it retires), which is how an injector targets exactly one
 // dynamic instruction.
+//
+// By default (Targeted false) the hooks observe every instruction. A
+// targeted set observes only the instruction with sequence number At: its
+// hooks are called with seq == At and never otherwise, and are spent once
+// that instruction has executed. A targeted set armed after its instruction
+// has already executed never fires.
 type InjectHooks struct {
 	FetchBytes func(seq uint64, addr uint32, buf []byte)
 	Outcome    func(seq uint64, in isa.Inst, out *emu.Outcome)
 	Translated func(seq uint64, rand uint32, orig *uint32)
+
+	Targeted bool
+	At       uint64
 }
 
-// SetInjector installs fault-injection hooks (nil removes them). The
-// injected pipeline stays deterministic: with the same hooks the same run
-// replays bit-identically.
+// SetInjector installs fault-injection hooks, replacing any installed set
+// (nil removes them). The injected pipeline stays deterministic: with the
+// same hooks the same run replays bit-identically.
 //
-// Arming an injector invalidates the basic-block cache and forces the
-// per-instruction fetch path for as long as the hooks stay installed: a
+// An untargeted set invalidates the basic-block cache and forces the
+// per-instruction fetch path for as long as it stays installed: a
 // FetchBytes hook must observe every raw fetch, which a pre-decoded block
-// would skip.
+// would skip. A targeted set keeps the cache: the run executes block-cached
+// up to At, steps instruction At through the hooked per-instruction path,
+// and resumes blocks after it. The hooks are live only during that one
+// step, so nothing else — block execution's own control-flow resolution
+// included — ever calls them.
 func (p *Pipeline) SetInjector(h *InjectHooks) {
+	p.inject, p.armed = nil, nil
+	if h != nil && h.Targeted {
+		p.armed = h
+		return
+	}
 	p.inject = h
 	p.InvalidateBlocks()
 }

@@ -138,6 +138,9 @@ type Pipeline struct {
 	inject    *InjectHooks
 	injectSeq uint64
 	injectOut emu.Outcome
+	// armed is a targeted hook set waiting for its instruction (armed.At);
+	// Step moves it into inject for exactly that one instruction.
+	armed *InjectHooks
 
 	// bb is the basic-block cache of pre-decoded instructions (bbcache.go);
 	// nil when Config.NoBlockCache disabled it.
@@ -192,11 +195,7 @@ func New(img *program.Image, cfg Config, trans emu.Translator, randRA map[uint32
 			p.drc2 = newDRC(cfg.DRC2Entries, cfg.DRCAssoc, false, trans)
 		}
 		p.bitmap = make(map[uint32]bool)
-		st.Hooks = emu.Hooks{
-			ReturnAddr: p.vcfrReturnAddr,
-			LoadedWord: p.vcfrLoadedWord,
-			StoredWord: p.vcfrStoredWord,
-		}
+		st.Hooks = p.vcfrHooks()
 		p.tableSlots = nextPow2(uint32(translatorLen(trans)))
 		p.tableEnd = cfg.TableBase + p.tableSlots*8
 	case ModeNaiveILR:
@@ -275,6 +274,16 @@ func (p *Pipeline) Hierarchy() *mem.Hierarchy { return p.hier }
 
 // PC returns the current original-space program counter.
 func (p *Pipeline) PC() uint32 { return p.pc }
+
+// vcfrHooks binds the VCFR functional hooks to this pipeline's RA map,
+// stack bitmap and translator.
+func (p *Pipeline) vcfrHooks() emu.Hooks {
+	return emu.Hooks{
+		ReturnAddr: p.vcfrReturnAddr,
+		LoadedWord: p.vcfrLoadedWord,
+		StoredWord: p.vcfrStoredWord,
+	}
+}
 
 func (p *Pipeline) vcfrReturnAddr(next uint32) uint32 {
 	if r, ok := p.randRA[next]; ok {
@@ -493,7 +502,12 @@ func (p *Pipeline) contextSwitch() {
 }
 
 // Step executes one instruction. It returns false once the machine halts.
+// A targeted hook set armed for this instruction is live for exactly this
+// step.
 func (p *Pipeline) Step() (bool, error) {
+	if a := p.armed; a != nil && a.At == p.stats.Instructions {
+		return p.stepHooked(a)
+	}
 	if p.state.Halted {
 		return false, nil
 	}
@@ -571,6 +585,14 @@ func (p *Pipeline) Step() (bool, error) {
 	}
 	p.stats.Cycles += cost
 	return !p.state.Halted, nil
+}
+
+// stepHooked executes the one instruction a targeted hook set observes,
+// with the set live for exactly that step and spent after it.
+func (p *Pipeline) stepHooked(a *InjectHooks) (bool, error) {
+	p.inject, p.armed = a, nil
+	defer func() { p.inject = nil }()
+	return p.Step()
 }
 
 // stepTail is the shared back half of one executed instruction — identical
@@ -965,9 +987,12 @@ func (p *Pipeline) RunContext(ctx context.Context, maxInsts uint64) (Result, err
 // The block-cached fast path executes whole pre-decoded blocks per call,
 // so every count-triggered event (quantum end, sample edge, context-switch
 // boundary) is folded into the per-call instruction limit and lands exactly
-// where the per-instruction path would put it. Injected and traced runs
-// take the per-instruction Step path: injection must observe every raw
-// fetch, and the tracer reads live cumulative counters.
+// where the per-instruction path would put it. A targeted hook set's
+// instruction is one more such event: blocks stop short of it and it is
+// stepped alone through the hooked path. Runs under an untargeted injector
+// and traced runs take the per-instruction Step path throughout: such
+// injection must observe every raw fetch, and the tracer reads live
+// cumulative counters.
 func (p *Pipeline) advanceTo(target uint64) (bool, error) {
 	// Interval sampling piggybacks on the same threshold pattern as the
 	// quantum bound: one uint64 compare per instruction when sampling is
@@ -991,7 +1016,9 @@ func (p *Pipeline) advanceTo(target uint64) (bool, error) {
 			running bool
 			err     error
 		)
-		if p.bb != nil && p.inject == nil && p.tracer == nil {
+		armed := p.armed
+		if p.bb != nil && p.inject == nil && p.tracer == nil &&
+			(armed == nil || armed.At != p.stats.Instructions) {
 			limit := target
 			if nextSample < limit {
 				limit = nextSample
@@ -1000,6 +1027,9 @@ func (p *Pipeline) advanceTo(target uint64) (bool, error) {
 				if nb := (p.stats.Instructions/every + 1) * every; nb < limit {
 					limit = nb
 				}
+			}
+			if armed != nil && armed.At > p.stats.Instructions && armed.At < limit {
+				limit = armed.At
 			}
 			running, err = p.runBlocks(limit)
 		} else {

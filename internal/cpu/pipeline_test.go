@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -400,6 +401,45 @@ func TestModeStringNames(t *testing.T) {
 	}
 	if !strings.Contains(Mode(77).String(), "77") {
 		t.Error("unknown mode string")
+	}
+}
+
+// TestBlockCacheCoverHighPage pins the block cache's page watch: covering
+// code at the naive-ILR storage base must not size the watch by the
+// absolute page number (it once allocated 256 KiB there), and a window
+// grown downward still answers exactly for the covered pages.
+func TestBlockCacheCoverHighPage(t *testing.T) {
+	const base = ilr.DefaultRandBase
+	// The minimum over many trials discounts allocations made concurrently
+	// by other goroutines.
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 50; i++ {
+		runtime.ReadMemStats(&before)
+		c := newBlockCache()
+		c.cover(base, 6)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(c)
+	}
+	if least >= 1024 {
+		t.Errorf("covering one instruction at %#x allocated %d bytes, want < 1 KiB", base, least)
+	}
+
+	c := newBlockCache()
+	c.cover(base+0x3ffe, 4) // straddles two pages
+	c.cover(0x1000, 4)
+	for _, tc := range []struct {
+		addr uint32
+		want bool
+	}{
+		{0x1000, true}, {0x1fff, true}, {0x0fff, false}, {0x2000, false},
+		{base + 0x3000, true}, {base + 0x4003, true}, {base + 0x2fff, false},
+		{base + 0x5000, false}, {0xffff_fff0, false}, {0, false},
+	} {
+		if got := c.covers(tc.addr); got != tc.want {
+			t.Errorf("covers(%#x) = %v, want %v", tc.addr, got, tc.want)
+		}
 	}
 }
 

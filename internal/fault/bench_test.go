@@ -37,25 +37,42 @@ func BenchmarkCampaign(b *testing.B) {
 	b.ReportMetric(float64(injected)/b.Elapsed().Seconds(), "injections/s")
 }
 
-// BenchmarkInjectedRun isolates one injected execution (pipeline build +
-// run under hooks + classification) against a warm reference.
+// BenchmarkInjectedRun isolates one injected execution as the campaign
+// runs it — fork the walker at the fault's index, run the fork under the
+// hooks, classify — against a warm reference. Walking the reference from
+// one injection's index to the next is not timed.
 func BenchmarkInjectedRun(b *testing.B) {
+	ctx := context.Background()
 	app, err := harness.Prepare("bzip2", harness.Config{Scale: 1, Spread: 8, Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := &cell{workload: "bzip2", mode: cpu.ModeVCFR, app: app}
-	if err := c.reference(context.Background(), harness.NewRunner(1), 10000); err != nil {
+	if err := c.reference(ctx, harness.NewRunner(1), 10000); err != nil {
 		b.Fatal(err)
 	}
 	cands := candidates(c.trace, KindBranchTarget)
 	if len(cands) == 0 {
 		b.Fatal("no branch-target candidates")
 	}
+	var walker *cpu.Pipeline
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := Fault{Kind: KindBranchTarget, Index: cands[i%len(cands)], Bits: 1, Seed: int64(i)}
-		if o, _ := runInjection(context.Background(), c, f); o == "" {
+		idx := cands[i%len(cands)]
+		b.StopTimer()
+		if i%len(cands) == 0 {
+			if walker, _, err = app.Pipeline(cpu.ModeVCFR, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if idx > 0 {
+			if _, err := walker.RunContext(ctx, idx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		f := Fault{Kind: KindBranchTarget, Index: idx, Bits: 1, Seed: int64(i)}
+		if o, _ := runInjected(ctx, walker.Fork(), c.ref, f); o == "" {
 			b.Fatal("injection not executed")
 		}
 	}

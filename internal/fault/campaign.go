@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"vcfr/internal/cpu"
@@ -303,42 +304,20 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		}
 	}
 
-	// Phase 3: execute the injections, sharded across the pool. Outcomes
-	// land in a per-task slot, so aggregation order (phase 4) is fixed no
-	// matter which worker ran what.
-	outcomes := make([]Outcome, len(tasks))
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
-	injPanics := r.Shard(ctx, len(tasks), func(ctx context.Context, i int) {
-		t := tasks[i]
-		o, insts := runInjection(ctx, t.cell, t.fault)
-		outcomes[i] = o
-		if o == "" || onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(tasks), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
-	})
+	// Phase 3: execute the injections.
+	outcomes, taskErrs := runInjections(ctx, r, tasks, onProgress)
 
 	// Phase 4: aggregate in plan order.
 	rep := &Report{Config: cfg, Rows: rows}
 	for i, t := range tasks {
 		row := &rep.Rows[t.row]
 		switch o := outcomes[i]; {
-		case injPanics[i] != nil:
-			if row.Error == "" {
-				row.Error = harness.FirstLine(injPanics[i].Error())
-			}
 		case o != "":
 			row.Stats.Add(o)
-		case row.Error == "":
+		case row.Error != "":
+		case taskErrs[i] != nil:
+			row.Error = harness.FirstLine(taskErrs[i].Error())
+		default:
 			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "injection").Error())
 		}
 	}
@@ -351,25 +330,134 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	return rep, nil
 }
 
-// runInjection executes one injected run and classifies it. A cancelled run
-// returns the empty outcome (not executed); a simulator panic classifies as
-// crash — from the fault model's point of view the machine died.
-func runInjection(ctx context.Context, c *cell, f Fault) (o Outcome, insts uint64) {
+// runInjections executes the planned injections on the runner's pool, one
+// shard unit per planUnits unit. Outcomes land in per-task slots, so the
+// aggregation order is fixed no matter which worker ran what. A task
+// without an outcome carries its unit's error (the walker failed or
+// panicked) or nil (it never ran: the campaign was cancelled).
+func runInjections(ctx context.Context, r *harness.Runner, tasks []task, onProgress func(harness.Progress)) ([]Outcome, []error) {
+	units := planUnits(tasks)
+	outcomes := make([]Outcome, len(tasks))
+	unitErrs := make([]error, len(units))
+	var (
+		progMu    sync.Mutex
+		doneCount int
+		instTotal uint64
+	)
+	done := func(insts uint64) {
+		if onProgress == nil {
+			return
+		}
+		progMu.Lock()
+		doneCount++
+		instTotal += insts
+		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(tasks), Instructions: instTotal}
+		progMu.Unlock()
+		onProgress(p)
+	}
+	unitPanics := r.Shard(ctx, len(units), func(ctx context.Context, u int) {
+		unitErrs[u] = runUnit(ctx, tasks, units[u], outcomes, done)
+	})
+	taskErrs := make([]error, len(tasks))
+	for u, unit := range units {
+		err := unitErrs[u]
+		if err == nil {
+			err = unitPanics[u]
+		}
+		for _, i := range unit {
+			if outcomes[i] == "" {
+				taskErrs[i] = err
+			}
+		}
+	}
+	return outcomes, taskErrs
+}
+
+// injectionsPerUnit caps one shard unit. Each unit pays one walk over the
+// reference prefix, so larger units amortize it better; smaller ones spread
+// a cell over more workers.
+const injectionsPerUnit = 32
+
+// planUnits cuts the plan into shard units: each unit is a run of one
+// cell's injections in Index order (ties in plan order), at most
+// injectionsPerUnit long. The cut decides only which worker simulates
+// what, never an outcome.
+func planUnits(tasks []task) [][]int {
+	byCell := make(map[*cell][]int)
+	var order []*cell
+	for i, t := range tasks {
+		if byCell[t.cell] == nil {
+			order = append(order, t.cell)
+		}
+		byCell[t.cell] = append(byCell[t.cell], i)
+	}
+	var units [][]int
+	for _, c := range order {
+		idx := byCell[c]
+		sort.SliceStable(idx, func(a, b int) bool {
+			return tasks[idx[a]].fault.Index < tasks[idx[b]].fault.Index
+		})
+		for len(idx) > 0 {
+			n := min(len(idx), injectionsPerUnit)
+			units = append(units, idx[:n])
+			idx = idx[n:]
+		}
+	}
+	return units
+}
+
+// runUnit executes one unit's injections. A clean walker pipeline advances
+// block-cached from instruction 0 to each injection's Index in turn; every
+// injection runs on a fork of the walker taken there, so the prefix the
+// injected run shares with the reference is simulated once per unit rather
+// than once per injection. Each outcome lands in outcomes and is reported
+// through done. The returned error is the walker's: the unit's remaining
+// injections did not run. On cancellation it returns nil and leaves them
+// unmarked, to be reported as not executed.
+func runUnit(ctx context.Context, tasks []task, unit []int, outcomes []Outcome, done func(insts uint64)) error {
+	c := tasks[unit[0]].cell
+	walker, _, err := c.app.Pipeline(c.mode, nil)
+	if err != nil {
+		return err
+	}
+	for _, i := range unit {
+		f := tasks[i].fault
+		// RunContext(ctx, 0) means "run to the default cap", not "stay".
+		if f.Index > 0 {
+			if _, err := walker.RunContext(ctx, f.Index); err != nil {
+				if ctx.Err() != nil {
+					return nil
+				}
+				return err
+			}
+		}
+		o, insts := runInjected(ctx, walker.Fork(), c.ref, f)
+		if o == "" {
+			return nil
+		}
+		outcomes[i] = o
+		done(insts)
+	}
+	return nil
+}
+
+// runInjected arms f on p, runs p to the reference's budget and classifies
+// the run. A cancelled run returns the empty outcome (not executed); a
+// simulator panic classifies as crash — from the fault model's point of
+// view the machine died. insts counts the injected run's committed
+// instructions from instruction 0.
+func runInjected(ctx context.Context, p *cpu.Pipeline, ref Reference, f Fault) (o Outcome, insts uint64) {
 	defer func() {
 		if r := recover(); r != nil {
 			o = OutcomeCrash
 		}
 	}()
-	p, _, err := c.app.Pipeline(c.mode, nil)
-	if err != nil {
-		return OutcomeCrash, 0
-	}
 	p.SetInjector(NewInjector(f).Hooks())
-	res, err := p.RunContext(ctx, c.ref.Budget())
+	res, err := p.RunContext(ctx, ref.Budget())
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		return "", res.Stats.Instructions
 	}
-	return Classify(res, err, c.ref), res.Stats.Instructions
+	return Classify(res, err, ref), res.Stats.Instructions
 }
 
 // Envelope renders the report as the versioned wire document every surface

@@ -3,16 +3,22 @@ package fault
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"vcfr/internal/asm"
 	"vcfr/internal/cpu"
+	"vcfr/internal/emu"
 	"vcfr/internal/harness"
+	"vcfr/internal/ilr"
 	"vcfr/internal/results"
 	"vcfr/internal/trace"
+	"vcfr/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -106,8 +112,10 @@ func TestVCFRDetectsMoreControlFaults(t *testing.T) {
 // injections run serially or spread over eight workers.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	cfg := Config{
-		Workloads:  []string{"bzip2", "xalan"},
-		Injections: 24,
+		Workloads: []string{"bzip2", "xalan"},
+		// More than injectionsPerUnit per cell, so each cell's injections
+		// split over several walker units.
+		Injections: 72,
 		MaxInsts:   10000,
 		Seed:       7,
 	}
@@ -161,6 +169,114 @@ func TestCampaignCancellation(t *testing.T) {
 	env := rep.Envelope()
 	if !env.Campaign.Partial {
 		t.Error("envelope of cancelled campaign not marked partial")
+	}
+}
+
+// TestCampaignCancelledMidRun cancels a running campaign from its first
+// progress report: the report comes back Partial, the injections that ran
+// keep their counts, and every row left unfinished reads as not executed.
+func TestCampaignCancelledMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rep, err := RunCampaign(ctx, harness.NewRunner(1), Config{
+		Workloads: []string{"bzip2"}, Modes: []cpu.Mode{cpu.ModeVCFR}, Injections: 40,
+	}, func(harness.Progress) { cancel() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Partial {
+		t.Fatal("campaign cancelled mid-run not marked partial")
+	}
+	if rep.Totals.Injected == 0 || rep.Totals.Injected >= 40 {
+		t.Errorf("cancelled campaign classified %d of 40 injections, want some but not all", rep.Totals.Injected)
+	}
+	for _, r := range rep.Rows {
+		if r.Error != "" && r.Error != context.Canceled.Error() {
+			t.Errorf("row %s/%s/%s: error %q, want %q", r.Workload, r.Mode, r.Kind, r.Error, context.Canceled)
+		}
+	}
+}
+
+// TestRunUnitCancelledMidWalk cancels a unit while its walker is still
+// advancing to the first injection: nothing is classified or reported, and
+// the unit returns no error of its own, leaving its injections to be
+// reported as not executed.
+func TestRunUnitCancelledMidWalk(t *testing.T) {
+	app, err := harness.Prepare("bzip2", harness.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &cell{workload: "bzip2", mode: cpu.ModeVCFR, app: app}
+	if err := c.reference(context.Background(), harness.NewRunner(1), 25000); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tasks := []task{
+		{cell: c, fault: Fault{Kind: KindOpcode, Index: 20000, Seed: 1}},
+		{cell: c, fault: Fault{Kind: KindOpcode, Index: 21000, Seed: 2}},
+	}
+	outcomes := make([]Outcome, len(tasks))
+	err = runUnit(ctx, tasks, []int{0, 1}, outcomes, func(uint64) {
+		t.Error("a cancelled unit reported progress")
+	})
+	if err != nil {
+		t.Errorf("cancelled unit returned %v, want nil", err)
+	}
+	for i, o := range outcomes {
+		if o != "" {
+			t.Errorf("task %d classified %q under a cancelled walk", i, o)
+		}
+	}
+}
+
+// divZeroSrc divides by zero after about a hundred instructions.
+const divZeroSrc = `
+	.entry main
+	.text 0x1000
+main:
+	movi r5, 30
+loop:
+	subi r5, 1
+	cmpi r5, 0
+	jg loop
+	movi r2, 0
+	div r1, r2
+	movi r1, 0
+	sys 0
+`
+
+// TestRunInjectionsUnitFailure proves a unit whose walker fails marks only
+// the injections it never finished: an error from the walker lands on the
+// injections past the failure, a panic on every injection of its unit, and
+// injections already classified keep their outcomes.
+func TestRunInjectionsUnitFailure(t *testing.T) {
+	img, err := asm.Assemble("divzero", divZeroSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ilr.Rewrite(img, ilr.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := Reference{Insts: 500, Halted: true}
+	good := &cell{mode: cpu.ModeBaseline, app: &harness.App{W: workloads.Workload{Name: "divzero", Img: img}, R: res}, ref: ref}
+	broken := &cell{mode: cpu.ModeBaseline, ref: ref} // no app: the walker panics
+	tasks := []task{
+		{cell: good, fault: Fault{Kind: KindOpcode, Index: 10, Seed: 1}},
+		{cell: good, fault: Fault{Kind: KindOpcode, Index: 400, Seed: 2}},
+		{cell: broken, fault: Fault{Kind: KindOpcode, Index: 10, Seed: 3}},
+	}
+	outcomes, errs := runInjections(context.Background(), harness.NewRunner(2), tasks, nil)
+	if outcomes[0] == "" || errs[0] != nil {
+		t.Errorf("injection before the walker's fault: outcome %q, error %v; want classified", outcomes[0], errs[0])
+	}
+	var f *emu.Fault
+	if outcomes[1] != "" || !errors.As(errs[1], &f) {
+		t.Errorf("injection past the walker's fault: outcome %q, error %v; want the walker's fault", outcomes[1], errs[1])
+	}
+	if outcomes[2] != "" || errs[2] == nil || !strings.HasPrefix(errs[2].Error(), "panic:") {
+		t.Errorf("injection of a panicking unit: outcome %q, error %v; want the panic", outcomes[2], errs[2])
 	}
 }
 

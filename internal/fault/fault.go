@@ -167,16 +167,20 @@ func flipMask(rng *rand.Rand, bits, width int) uint32 {
 // yields a run identical to the reference and classifies as masked.
 func (j *Injector) Fired() bool { return j.fired }
 
-// Hooks returns the pipeline hook set that performs this injection.
+// Hooks returns the pipeline hook set that performs this injection. The set
+// is targeted at Fault.Index, so the injected run stays block-cached
+// everywhere but that one instruction.
 func (j *Injector) Hooks() *cpu.InjectHooks {
+	h := &cpu.InjectHooks{Targeted: true, At: j.f.Index}
 	switch j.f.Kind {
 	case KindOpcode:
-		return &cpu.InjectHooks{FetchBytes: j.fetchBytes}
+		h.FetchBytes = j.fetchBytes
 	case KindDRCEntry:
-		return &cpu.InjectHooks{Translated: j.translated}
+		h.Translated = j.translated
 	default:
-		return &cpu.InjectHooks{Outcome: j.outcome}
+		h.Outcome = j.outcome
 	}
+	return h
 }
 
 func (j *Injector) fetchBytes(seq uint64, addr uint32, buf []byte) {

@@ -8,7 +8,10 @@
 // cycles for the critical path; the pipeline schedules around it.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Level is one level of the memory hierarchy.
 type Level interface {
@@ -88,7 +91,7 @@ type line struct {
 type Cache struct {
 	cfg      CacheConfig
 	next     Level
-	sets     [][]line
+	ways     []line // every set's lines, set-major: one backing array
 	setMask  uint32
 	lineBits uint
 	clock    uint64 // LRU timestamp source
@@ -107,16 +110,22 @@ func NewCache(cfg CacheConfig, next Level) (*Cache, error) {
 	c := &Cache{
 		cfg:     cfg,
 		next:    next,
-		sets:    make([][]line, nsets),
+		ways:    make([]line, nsets*cfg.Assoc),
 		setMask: uint32(nsets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		c.lineBits++
 	}
 	return c, nil
+}
+
+// clone returns an independent copy of the cache — lines, LRU clock and
+// statistics — backed by next.
+func (c *Cache) clone(next Level) *Cache {
+	cp := *c
+	cp.next = next
+	cp.ways = slices.Clone(c.ways)
+	return &cp
 }
 
 // Name returns the cache's configured name.
@@ -136,21 +145,28 @@ func (c *Cache) index(addr uint32) (set uint32, tag uint32) {
 	return lineAddr & c.setMask, lineAddr >> 0
 }
 
-// lookup finds the way holding addr, or -1.
-func (c *Cache) lookup(set, tag uint32) int {
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
+// set returns one set's lines. The full-slice expression caps it at its
+// own ways, so no set can ever grow into the next.
+func (c *Cache) set(n uint32) []line {
+	i := int(n) * c.cfg.Assoc
+	return c.ways[i : i+c.cfg.Assoc : i+c.cfg.Assoc]
+}
+
+// lookup finds the way holding tag in set s, or -1.
+func (c *Cache) lookup(s []line, tag uint32) int {
+	for w := range s {
+		if s[w].valid && s[w].tag == tag {
 			return w
 		}
 	}
 	return -1
 }
 
-// victim picks the LRU way in the set.
-func (c *Cache) victim(set uint32) int {
+// victim picks the LRU way in set s.
+func (c *Cache) victim(s []line) int {
 	v, oldest := 0, ^uint64(0)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	for w := range s {
+		l := &s[w]
 		if !l.valid {
 			return w
 		}
@@ -161,9 +177,8 @@ func (c *Cache) victim(set uint32) int {
 	return v
 }
 
-// evict retires the victim way, accounting write-backs and prefetch waste.
-func (c *Cache) evict(set uint32, w int) {
-	l := &c.sets[set][w]
+// evict retires line l, accounting write-backs and prefetch waste.
+func (c *Cache) evict(l *line) {
 	if !l.valid {
 		return
 	}
@@ -175,13 +190,13 @@ func (c *Cache) evict(set uint32, w int) {
 		c.stats.Writebacks++
 		// Write-back cost is off the critical path (write buffer); the next
 		// level still sees the traffic.
-		c.next.Access(c.unindex(set, l.tag), true)
+		c.next.Access(c.unindex(l.tag), true)
 	}
 	l.valid = false
 }
 
-// unindex reconstructs a line-aligned address from set and tag.
-func (c *Cache) unindex(set, tag uint32) uint32 {
+// unindex reconstructs a line-aligned address from a line's tag.
+func (c *Cache) unindex(tag uint32) uint32 {
 	return tag << c.lineBits
 }
 
@@ -190,8 +205,9 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	c.clock++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	if w := c.lookup(set, tag); w >= 0 {
-		l := &c.sets[set][w]
+	s := c.set(set)
+	if w := c.lookup(s, tag); w >= 0 {
+		l := &s[w]
 		l.lru = c.clock
 		if l.prefetched {
 			c.stats.PrefetchUseful++
@@ -204,16 +220,16 @@ func (c *Cache) Access(addr uint32, write bool) int {
 	}
 	c.stats.Misses++
 	lat := c.cfg.Latency + c.next.Access(addr, false)
-	w := c.victim(set)
-	c.evict(set, w)
-	c.sets[set][w] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	l := &s[c.victim(s)]
+	c.evict(l)
+	*l = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	return lat
 }
 
 // Contains probes for addr without touching LRU state or statistics.
 func (c *Cache) Contains(addr uint32) bool {
 	set, tag := c.index(addr)
-	return c.lookup(set, tag) >= 0
+	return c.lookup(c.set(set), tag) >= 0
 }
 
 // Prefetch installs addr's line if absent, fetching it from the next level.
@@ -221,22 +237,21 @@ func (c *Cache) Contains(addr uint32) bool {
 // the next level sees the traffic and the fill can displace a line.
 func (c *Cache) Prefetch(addr uint32) {
 	set, tag := c.index(addr)
-	if c.lookup(set, tag) >= 0 {
+	s := c.set(set)
+	if c.lookup(s, tag) >= 0 {
 		return
 	}
 	c.clock++
 	c.stats.PrefetchIssued++
 	c.next.Access(addr, false)
-	w := c.victim(set)
-	c.evict(set, w)
-	c.sets[set][w] = line{tag: tag, valid: true, prefetched: true, lru: c.clock}
+	l := &s[c.victim(s)]
+	c.evict(l)
+	*l = line{tag: tag, valid: true, prefetched: true, lru: c.clock}
 }
 
 // Flush invalidates every line, writing back dirty ones.
 func (c *Cache) Flush() {
-	for set := range c.sets {
-		for w := range c.sets[set] {
-			c.evict(uint32(set), w)
-		}
+	for i := range c.ways {
+		c.evict(&c.ways[i])
 	}
 }

@@ -100,6 +100,13 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	}
 }
 
+// clone returns an independent copy of the DRAM's row buffers and counters.
+func (d *DRAM) clone() *DRAM {
+	cp := *d
+	cp.banks = append([]bankState(nil), d.banks...)
+	return &cp
+}
+
 // Name implements Level.
 func (d *DRAM) Name() string { return "dram" }
 

@@ -50,6 +50,17 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	return &Hierarchy{IL1: il1, DL1: dl1, L2: l2, DRAM: dram}, nil
 }
 
+// Clone returns an independent deep copy of the hierarchy: every line,
+// LRU clock, row buffer and counter, with the copy's L1s backed by the
+// copy's L2 and that L2 by the copy's DRAM — the wiring NewHierarchy
+// builds. A clone of one core of a shared hierarchy gets its own private
+// L2 and DRAM.
+func (h *Hierarchy) Clone() *Hierarchy {
+	dram := h.DRAM.clone()
+	l2 := h.L2.clone(dram)
+	return &Hierarchy{IL1: h.IL1.clone(l2), DL1: h.DL1.clone(l2), L2: l2, DRAM: dram}
+}
+
 // L2Pressure returns the total demand accesses the L2 absorbed — the paper's
 // Fig. 3 metric for how L1 inefficiency propagates downstream.
 func (h *Hierarchy) L2Pressure() uint64 { return h.L2.Stats().Accesses }

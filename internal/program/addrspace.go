@@ -47,6 +47,20 @@ func (as *AddressSpace) page(addr uint32) *[pageSize]byte {
 	return p
 }
 
+// Clone returns an independent copy of every materialized page. The copy's
+// pages share one backing allocation.
+func (as *AddressSpace) Clone() *AddressSpace {
+	c := &AddressSpace{pages: make(map[uint32]*[pageSize]byte, len(as.pages))}
+	slab := make([][pageSize]byte, len(as.pages))
+	i := 0
+	for idx, p := range as.pages {
+		slab[i] = *p
+		c.pages[idx] = &slab[i]
+		i++
+	}
+	return c
+}
+
 // LoadImage copies every segment of img into the address space.
 func (as *AddressSpace) LoadImage(img *Image) {
 	for i := range img.Segments {
