@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -169,20 +168,11 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// Prepare each workload once; every cell shares the first-epoch layout.
 	// The layout seed derives from the campaign seed and the workload name,
 	// so layouts differ across workloads but never across surfaces.
-	apps := make(map[string]*harness.App, len(cfg.Workloads))
-	appErr := make(map[string]error, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
-		hcfg := harness.Config{
-			Scale:  cfg.Scale,
-			Spread: cfg.Spread,
-			Seed:   harness.CellSeed(cfg.Seed, "attacks", w),
-		}
-		if app, err := harness.Prepare(w, hcfg); err != nil {
-			appErr[w] = err
-		} else {
-			apps[w] = app
-		}
+	layouts := make([]harness.Layout, len(cfg.Workloads))
+	for i, w := range cfg.Workloads {
+		layouts[i] = harness.Layout{Workload: w, Seed: harness.CellSeed(cfg.Seed, "attacks", w)}
 	}
+	apps, appErrs := harness.PrepareLayouts(ctx, cfg.Scale, cfg.Spread, layouts)
 
 	// The cell plan, in fixed order; results land in per-cell slots so
 	// aggregation is deterministic no matter which worker ran what.
@@ -190,46 +180,26 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	for _, w := range cfg.Workloads {
 		for _, m := range cfg.Modes {
 			for _, p := range cfg.Payloads {
-				row := Row{Workload: w, Mode: m, Payload: p}
-				if err := appErr[w]; err != nil {
-					row.Error = harness.FirstLine(err.Error())
-				}
-				rep.Rows = append(rep.Rows, row)
+				rep.Rows = append(rep.Rows, Row{Workload: w, Mode: m, Payload: p})
 			}
 		}
 	}
 
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
-	panics := r.Shard(ctx, len(rep.Rows), func(ctx context.Context, i int) {
-		row := &rep.Rows[i]
-		if row.Error != "" {
-			return
+	tally := harness.Tally(len(rep.Rows), onProgress)
+	errs := r.Shard(ctx, len(rep.Rows), func(ctx context.Context, i int) error {
+		w := i / (len(cfg.Modes) * len(cfg.Payloads))
+		if appErrs[w] != nil {
+			return appErrs[w]
 		}
-		insts := runCell(ctx, apps[row.Workload], cfg, row)
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(rep.Rows), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
+		insts, err := runCell(ctx, apps[w], cfg, &rep.Rows[i])
+		tally(insts)
+		return err
 	})
 
 	for i := range rep.Rows {
 		row := &rep.Rows[i]
-		if err := panics[i]; err != nil && row.Error == "" {
-			row.Error = harness.FirstLine(err.Error())
-		}
-		// A cell the shard never reached (cancellation) reports why.
-		if row.Error == "" && row.Stats.ChainsBuilt == 0 && row.Stats.Leaks == 0 &&
-			row.Static.PoolSize == 0 {
-			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "attack cell").Error())
+		if errs[i] != nil {
+			row.Error = harness.FirstLine(errs[i].Error())
 		}
 		if row.Error != "" {
 			rep.Partial = true
@@ -241,31 +211,27 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 
 // runCell executes one cell: static phase, plain disclosure arm, and (for
 // randomized modes) the disclosure arm raced against re-randomization. It
-// returns the victim instructions executed, for progress reporting.
-func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts uint64) {
+// returns the victim instructions executed, for progress reporting, and the
+// error that left the cell unfinished.
+func runCell(ctx context.Context, app *harness.App, cfg Config, row *Row) (insts uint64, err error) {
 	st := &row.Stats
-	var err error
 	if row.Static, err = runStatic(ctx, app, row.Mode, row.Payload, cfg, st); err != nil {
-		row.Error = harness.FirstLine(err.Error())
-		return insts
+		return insts, err
 	}
 	var n uint64
-	if row.Plain, n, err = runDisclosure(ctx, app, cfg, row, false, st); err != nil {
-		row.Error = harness.FirstLine(err.Error())
-		return insts + n
-	}
+	row.Plain, n, err = runDisclosure(ctx, app, cfg, row, false, st)
 	insts += n
-	if row.Mode == cpu.ModeBaseline {
-		return insts // no layout to re-randomize: the rerand arm is moot
+	if err != nil || row.Mode == cpu.ModeBaseline {
+		return insts, err // baseline has no layout to re-randomize: the rerand arm is moot
 	}
 	var d Disclosure
-	if d, n, err = runDisclosure(ctx, app, cfg, row, true, st); err != nil {
-		row.Error = harness.FirstLine(err.Error())
-		return insts + n
-	}
+	d, n, err = runDisclosure(ctx, app, cfg, row, true, st)
 	insts += n
+	if err != nil {
+		return insts, err
+	}
 	row.Rerand = &d
-	return insts
+	return insts, nil
 }
 
 // runDisclosure runs one JIT-ROP arm: the victim executes, the oracle
@@ -326,7 +292,7 @@ func runDisclosure(ctx context.Context, app *harness.App, cfg Config, row *Row, 
 		d.ChainsBuilt++
 		outcome := fire(ctx, app, row.Mode, o.res, ch, row.Payload, cfg.MaxInsts)
 		if outcome == "" {
-			return d, ran, harness.NotExecuted(ctx, "attack cell")
+			return d, ran, ctx.Err()
 		}
 		st.AddFire(outcome)
 		d.ChainsFired++

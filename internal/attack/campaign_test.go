@@ -184,8 +184,9 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCampaignCancellation proves a cancelled campaign returns the partial
-// report instead of an error: the full cell plan comes back, unexecuted
-// cells are marked, and Partial is set — on the report and on the wire.
+// report instead of an error: the full cell plan comes back, every
+// unexecuted cell carries exactly the context's error text, and Partial is
+// set — on the report and on the wire.
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -201,8 +202,8 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Errorf("cancelled campaign has %d rows, want the full plan of %d", len(rep.Rows), wantRows)
 	}
 	for _, r := range rep.Rows {
-		if r.Error == "" {
-			t.Errorf("row %s/%s/%s executed under a cancelled context", r.Workload, r.Mode, r.Payload)
+		if r.Error != context.Canceled.Error() {
+			t.Errorf("row %s/%s/%s: error %q under a cancelled context, want %q", r.Workload, r.Mode, r.Payload, r.Error, context.Canceled)
 		}
 	}
 	env := rep.Envelope()

@@ -71,7 +71,7 @@ func runStatic(ctx context.Context, app *harness.App, mode cpu.Mode, payload Pay
 	st.ChainsBuilt++
 	o := fire(ctx, app, mode, app.R, ch, payload, cfg.MaxInsts)
 	if o == "" {
-		return s, harness.NotExecuted(ctx, "attack cell")
+		return s, ctx.Err()
 	}
 	st.AddFire(o)
 	s.Outcome = o

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -29,7 +28,7 @@ type Config struct {
 	Kinds []Kind
 	// Injections per (workload, mode) cell, split evenly across that
 	// cell's applicable kinds. <= 0 means 120 (with the default three
-	// workloads and three modes: 1080 injections).
+	// workloads and three modes: 1080 injections); at most MaxInjections.
 	Injections int
 	// Seed drives everything: the per-workload layout seed and every
 	// injection's site choice and flip mask derive from it. 0 means 42.
@@ -62,8 +61,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxInjections bounds Config.Injections. The campaign plans every
+// injection of every cell before the first one runs.
+const MaxInjections = 10000
+
+// CheckInjections rejects a per-cell injection count above MaxInjections.
+func CheckInjections(n int) error {
+	if n > MaxInjections {
+		return fmt.Errorf("fault: %d injections per cell exceeds the limit of %d", n, MaxInjections)
+	}
+	return nil
+}
+
 func (c Config) validate() error {
 	if err := harness.CheckCampaign("fault", c.Workloads, c.Modes); err != nil {
+		return err
+	}
+	if err := CheckInjections(c.Injections); err != nil {
 		return err
 	}
 	for _, k := range c.Kinds {
@@ -153,7 +167,6 @@ type cell struct {
 	ref      Reference
 	trace    *trace.Trace
 	kinds    []Kind
-	err      error
 }
 
 // reference captures the cell's clean run, through the runner's trace
@@ -220,52 +233,26 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// Prepare each workload once; every mode cell shares the layout. The
 	// layout seed derives from the campaign seed and the workload name, so
 	// layouts differ across workloads but never across surfaces.
-	apps := make(map[string]*harness.App, len(cfg.Workloads))
-	appErr := make(map[string]error, len(cfg.Workloads))
-	for _, w := range cfg.Workloads {
-		hcfg := harness.Config{
-			Scale:  cfg.Scale,
-			Spread: cfg.Spread,
-			Seed:   harness.CellSeed(cfg.Seed, "faults", w),
-		}
-		if app, err := harness.Prepare(w, hcfg); err != nil {
-			appErr[w] = err
-		} else {
-			apps[w] = app
-		}
+	layouts := make([]harness.Layout, len(cfg.Workloads))
+	for i, w := range cfg.Workloads {
+		layouts[i] = harness.Layout{Workload: w, Seed: harness.CellSeed(cfg.Seed, "faults", w)}
 	}
+	apps, appErrs := harness.PrepareLayouts(ctx, cfg.Scale, cfg.Spread, layouts)
 
 	cells := make([]*cell, 0, len(cfg.Workloads)*len(cfg.Modes))
-	for _, w := range cfg.Workloads {
+	for i, w := range cfg.Workloads {
 		for _, m := range cfg.Modes {
-			cells = append(cells, &cell{
-				workload: w,
-				mode:     m,
-				app:      apps[w],
-				kinds:    kindsFor(cfg.Kinds, m),
-				err:      appErr[w],
-			})
+			cells = append(cells, &cell{workload: w, mode: m, app: apps[i], kinds: kindsFor(cfg.Kinds, m)})
 		}
 	}
 
 	// Phase 1: clean references, sharded across the pool.
-	refPanics := r.Shard(ctx, len(cells), func(ctx context.Context, i int) {
-		c := cells[i]
-		if c.err != nil {
-			return
+	refErrs := r.Shard(ctx, len(cells), func(ctx context.Context, i int) error {
+		if err := appErrs[i/len(cfg.Modes)]; err != nil {
+			return err
 		}
-		if err := c.reference(ctx, r, cfg.MaxInsts); err != nil {
-			c.err = err
-		}
+		return cells[i].reference(ctx, r, cfg.MaxInsts)
 	})
-	for i, c := range cells {
-		if c.err == nil {
-			c.err = refPanics[i]
-		}
-		if c.err == nil && c.trace == nil {
-			c.err = harness.NotExecuted(ctx, "injection")
-		}
-	}
 
 	// Phase 2: plan every injection up front, in fixed order. The plan is
 	// fully deterministic: injection j of a (workload, mode, kind) row
@@ -273,13 +260,13 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 	// coordinates.
 	var rows []Row
 	var tasks []task
-	for _, c := range cells {
+	for ci, c := range cells {
 		counts := splitInjections(cfg.Injections, len(c.kinds))
 		for ki, k := range c.kinds {
 			rowIdx := len(rows)
 			rows = append(rows, Row{Workload: c.workload, Mode: c.mode, Kind: k})
-			if c.err != nil {
-				rows[rowIdx].Error = harness.FirstLine(c.err.Error())
+			if err := refErrs[ci]; err != nil {
+				rows[rowIdx].Error = harness.FirstLine(err.Error())
 				continue
 			}
 			cands := candidates(c.trace, k)
@@ -314,11 +301,8 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		switch o := outcomes[i]; {
 		case o != "":
 			row.Stats.Add(o)
-		case row.Error != "":
-		case taskErrs[i] != nil:
+		case row.Error == "":
 			row.Error = harness.FirstLine(taskErrs[i].Error())
-		default:
-			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "injection").Error())
 		}
 	}
 	for i := range rep.Rows {
@@ -333,40 +317,20 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 // runInjections executes the planned injections on the runner's pool, one
 // shard unit per planUnits unit. Outcomes land in per-task slots, so the
 // aggregation order is fixed no matter which worker ran what. A task
-// without an outcome carries its unit's error (the walker failed or
-// panicked) or nil (it never ran: the campaign was cancelled).
+// without an outcome carries its unit's error: the walker failed or
+// panicked, or the campaign was cancelled.
 func runInjections(ctx context.Context, r *harness.Runner, tasks []task, onProgress func(harness.Progress)) ([]Outcome, []error) {
 	units := planUnits(tasks)
 	outcomes := make([]Outcome, len(tasks))
-	unitErrs := make([]error, len(units))
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
-	done := func(insts uint64) {
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(tasks), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
-	}
-	unitPanics := r.Shard(ctx, len(units), func(ctx context.Context, u int) {
-		unitErrs[u] = runUnit(ctx, tasks, units[u], outcomes, done)
+	tally := harness.Tally(len(tasks), onProgress)
+	unitErrs := r.Shard(ctx, len(units), func(ctx context.Context, u int) error {
+		return runUnit(ctx, tasks, units[u], outcomes, tally)
 	})
 	taskErrs := make([]error, len(tasks))
 	for u, unit := range units {
-		err := unitErrs[u]
-		if err == nil {
-			err = unitPanics[u]
-		}
 		for _, i := range unit {
 			if outcomes[i] == "" {
-				taskErrs[i] = err
+				taskErrs[i] = unitErrs[u]
 			}
 		}
 	}
@@ -411,10 +375,9 @@ func planUnits(tasks []task) [][]int {
 // injection runs on a fork of the walker taken there, so the prefix the
 // injected run shares with the reference is simulated once per unit rather
 // than once per injection. Each outcome lands in outcomes and is reported
-// through done. The returned error is the walker's: the unit's remaining
-// injections did not run. On cancellation it returns nil and leaves them
-// unmarked, to be reported as not executed.
-func runUnit(ctx context.Context, tasks []task, unit []int, outcomes []Outcome, done func(insts uint64)) error {
+// through tally. A returned error means the unit's remaining injections did
+// not run: it is the walker's error, or the context's on cancellation.
+func runUnit(ctx context.Context, tasks []task, unit []int, outcomes []Outcome, tally func(insts uint64)) error {
 	c := tasks[unit[0]].cell
 	walker, _, err := c.app.Pipeline(c.mode, nil)
 	if err != nil {
@@ -426,17 +389,17 @@ func runUnit(ctx context.Context, tasks []task, unit []int, outcomes []Outcome, 
 		if f.Index > 0 {
 			if _, err := walker.RunContext(ctx, f.Index); err != nil {
 				if ctx.Err() != nil {
-					return nil
+					return ctx.Err()
 				}
 				return err
 			}
 		}
 		o, insts := runInjected(ctx, walker.Fork(), c.ref, f)
 		if o == "" {
-			return nil
+			return ctx.Err()
 		}
 		outcomes[i] = o
-		done(insts)
+		tally(insts)
 	}
 	return nil
 }

@@ -142,8 +142,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCampaignCancellation proves a cancelled campaign returns the partial
-// report instead of an error: rows come back in full, unexecuted injections
-// are marked, and Partial is set.
+// report instead of an error: rows come back in full, every unexecuted row
+// carries exactly the context's error text, and Partial is set.
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -162,8 +162,8 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Errorf("cancelled campaign has %d rows, want the full plan of %d", len(rep.Rows), wantRows)
 	}
 	for _, r := range rep.Rows {
-		if r.Error == "" {
-			t.Errorf("row %s/%s/%s executed under a cancelled context", r.Workload, r.Mode, r.Kind)
+		if r.Error != context.Canceled.Error() {
+			t.Errorf("row %s/%s/%s: error %q under a cancelled context, want %q", r.Workload, r.Mode, r.Kind, r.Error, context.Canceled)
 		}
 	}
 	env := rep.Envelope()
@@ -199,8 +199,8 @@ func TestCampaignCancelledMidRun(t *testing.T) {
 
 // TestRunUnitCancelledMidWalk cancels a unit while its walker is still
 // advancing to the first injection: nothing is classified or reported, and
-// the unit returns no error of its own, leaving its injections to be
-// reported as not executed.
+// the unit returns the context's error, which its unfinished injections'
+// rows then carry.
 func TestRunUnitCancelledMidWalk(t *testing.T) {
 	app, err := harness.Prepare("bzip2", harness.Config{Seed: 42})
 	if err != nil {
@@ -220,8 +220,8 @@ func TestRunUnitCancelledMidWalk(t *testing.T) {
 	err = runUnit(ctx, tasks, []int{0, 1}, outcomes, func(uint64) {
 		t.Error("a cancelled unit reported progress")
 	})
-	if err != nil {
-		t.Errorf("cancelled unit returned %v, want nil", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled unit returned %v, want %v", err, context.Canceled)
 	}
 	for i, o := range outcomes {
 		if o != "" {

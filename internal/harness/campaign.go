@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -60,13 +59,23 @@ func CheckCampaign(pkg string, names []string, modes []cpu.Mode) error {
 	return nil
 }
 
-// NotExecuted names why a planned campaign unit never ran: the context's
-// error when it was cancelled, else "<what> not executed".
-func NotExecuted(ctx context.Context, what string) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// Layout is one app a campaign prepares: a workload at a layout seed.
+type Layout struct {
+	Workload string
+	Seed     int64
+}
+
+// PrepareLayouts prepares each layout, in order, at the campaign's scale and
+// spread. errs[i] is layout i's preparation error, or ctx.Err() for every
+// layout left unprepared once ctx was cancelled.
+func PrepareLayouts(ctx context.Context, scale, spread int, layouts []Layout) (apps []*App, errs []error) {
+	apps, errs = make([]*App, len(layouts)), make([]error, len(layouts))
+	for i, l := range layouts {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			apps[i], errs[i] = Prepare(l.Workload, Config{Scale: scale, Spread: spread, Seed: l.Seed})
+		}
 	}
-	return errors.New(what + " not executed")
+	return apps, errs
 }
 
 // FirstLine truncates an error message to its first line (panic values

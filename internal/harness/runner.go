@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -106,18 +105,15 @@ func (r *Runner) slots() chan struct{} {
 
 // Shard runs fn(ctx, i) for every i in [0, n) on the runner's bounded
 // worker pool and returns once all of them finished or the context was
-// cancelled. Indices whose slot acquisition loses to cancellation are
-// simply never invoked — callers detect skipped work by the absence of a
-// result for that index, which is how the campaigns report partial
-// coverage. fn runs with panic capture: a panicking index does not take
-// down its worker or the sweep, and its panic comes back as that index's
-// entry of the returned slice (nil for every index that returned or never
-// ran), for the caller to fold into the unit's error row.
-func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, i int)) []error {
+// cancelled. It is the one place that decides a unit's error: errs[i] is
+// what fn returned for i, its recovered panic ("panic: ..."), or ctx.Err()
+// when cancellation kept fn from starting. A panicking index does not take
+// down its worker or the sweep.
+func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, i int) error) (errs []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	panics := make([]error, n)
+	errs = make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -127,18 +123,19 @@ func (r *Runner) Shard(ctx context.Context, n int, fn func(ctx context.Context, 
 			case r.slots() <- struct{}{}:
 				defer func() { <-r.sem }()
 			case <-ctx.Done():
+				errs[i] = ctx.Err()
 				return
 			}
 			defer func() {
 				if v := recover(); v != nil {
-					panics[i] = fmt.Errorf("panic: %v", v)
+					errs[i] = fmt.Errorf("panic: %v", v)
 				}
 			}()
-			fn(ctx, i)
+			errs[i] = fn(ctx, i)
 		}(i)
 	}
 	wg.Wait()
-	return panics
+	return errs
 }
 
 // Sweep returns the execution context for invoking one experiment function
@@ -256,27 +253,21 @@ func (s *Sweep) mapCells(cfg Config, names []string, fn cellFn) []Cell {
 		}
 		todo = append(todo, miss{i, ccfg, key})
 	}
-	ran := make([]bool, len(todo))
-	s.r.Shard(s.ctx, len(todo), func(_ context.Context, j int) {
+	errs := s.r.Shard(s.ctx, len(todo), func(_ context.Context, j int) (err error) {
 		m := todo[j]
-		ran[j] = true
-		cells[m.i] = s.runCell(m.cfg, names[m.i], m.key, fn)
+		cells[m.i], err = s.runCell(m.cfg, names[m.i], m.key, fn)
+		return err
 	})
 	for j, m := range todo {
-		if !ran[j] {
-			cells[m.i] = errCell(names[m.i], s.ctx.Err())
+		if errs[j] != nil {
+			cells[m.i] = errCell(names[m.i], errs[j])
 		}
 	}
 	return cells
 }
 
-// runCell executes one cell with panic capture and the per-cell timeout.
-func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (c Cell) {
-	defer func() {
-		if r := recover(); r != nil {
-			c = errCell(name, fmt.Errorf("panic: %v\n%s", r, debug.Stack()))
-		}
-	}()
+// runCell executes one cell under the per-cell timeout and caches it.
+func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (Cell, error) {
 	ctx := s.ctx
 	if s.r.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -285,16 +276,15 @@ func (s *Sweep) runCell(cfg Config, name, key string, fn cellFn) (c Cell) {
 	}
 	cell, err := fn(ctx, cfg, name)
 	if err != nil {
-		return errCell(name, err)
+		return Cell{}, err
 	}
 	cell.Name = name
 	s.r.Cache.put(key, cell)
-	return cell
+	return cell, nil
 }
 
 // errCell converts a cell failure into a reported table row. Only the
-// first line of the error lands in the table (panic values carry stacks);
-// the full text stays in Err.
+// first line of the error lands in the table; the full text stays in Err.
 func errCell(name string, err error) Cell {
 	return Cell{
 		Name: name,

@@ -143,19 +143,25 @@ func TestCellPanicBecomesRow(t *testing.T) {
 	}
 }
 
-// TestShardReportsPanics: a panicking index comes back as that index's
-// error carrying the panic text, and every other index still runs.
-func TestShardReportsPanics(t *testing.T) {
+// TestShardReportsUnitErrors: each index's entry is what fn returned for
+// it — its error, or the panic text for a panicking index — and every other
+// index still runs and reports nil.
+func TestShardReportsUnitErrors(t *testing.T) {
 	r := NewRunner(2)
 	var mu sync.Mutex
 	ran := make(map[int]bool)
-	errs := r.Shard(context.Background(), 5, func(_ context.Context, i int) {
+	unitErr := errors.New("unit failed")
+	errs := r.Shard(context.Background(), 5, func(_ context.Context, i int) error {
 		mu.Lock()
 		ran[i] = true
 		mu.Unlock()
-		if i == 2 {
+		switch i {
+		case 1:
+			return unitErr
+		case 2:
 			panic("unit exploded")
 		}
+		return nil
 	})
 	if len(errs) != 5 {
 		t.Fatalf("errs = %d entries, want 5", len(errs))
@@ -165,30 +171,35 @@ func TestShardReportsPanics(t *testing.T) {
 			t.Errorf("index %d never ran", i)
 		}
 		switch {
-		case i == 2 && (err == nil || !strings.Contains(err.Error(), "panic: unit exploded")):
+		case i == 1 && !errors.Is(err, unitErr):
+			t.Errorf("index 1: want fn's error, got %v", err)
+		case i == 2 && (err == nil || err.Error() != "panic: unit exploded"):
 			t.Errorf("index 2: want the panic text, got %v", err)
-		case i != 2 && err != nil:
+		case i != 1 && i != 2 && err != nil:
 			t.Errorf("index %d: unexpected error %v", i, err)
 		}
 	}
 }
 
-// TestShardCancelledIndicesReportNothing: indices that lose their slot to
-// cancellation are never invoked and report no error.
-func TestShardCancelledIndicesReportNothing(t *testing.T) {
+// TestShardCancelledIndicesReportContextError: indices that lose their slot
+// to cancellation are never invoked and report the context's error.
+func TestShardCancelledIndicesReportContextError(t *testing.T) {
 	r := NewRunner(1)
 	r.slots() <- struct{}{} // hold the only slot: no index can start
 	defer func() { <-r.sem }()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int32
-	errs := r.Shard(ctx, 3, func(context.Context, int) { calls.Add(1) })
+	errs := r.Shard(ctx, 3, func(context.Context, int) error {
+		calls.Add(1)
+		return nil
+	})
 	if n := calls.Load(); n != 0 {
 		t.Errorf("%d indices ran after cancellation", n)
 	}
 	for i, err := range errs {
-		if err != nil {
-			t.Errorf("index %d: cancelled index reported %v", i, err)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("index %d: cancelled index reported %v, want %v", i, err, context.Canceled)
 		}
 	}
 }

@@ -36,6 +36,28 @@ type Progress struct {
 	Instructions uint64 `json:"instructions"`
 }
 
+// Tally returns the progress counter of a run of total units: each call
+// records one finished unit and the simulated instructions it committed, and
+// hands the cumulative Progress to onProgress. It is safe to call from
+// several workers; nil onProgress makes it a no-op.
+func Tally(total int, onProgress func(Progress)) func(insts uint64) {
+	if onProgress == nil {
+		return func(uint64) {}
+	}
+	var (
+		mu   sync.Mutex
+		prog = Progress{CellsTotal: total}
+	)
+	return func(insts uint64) {
+		mu.Lock()
+		prog.CellsDone++
+		prog.Instructions += insts
+		p := prog
+		mu.Unlock()
+		onProgress(p)
+	}
+}
+
 // StatsSweepProgress is StatsSweep with a live progress callback: onProgress
 // (when non-nil) is invoked after every executed cell, from worker
 // goroutines, with a consistent cumulative Progress. The vcfrd service feeds
@@ -44,21 +66,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 	s := r.Sweep(ctx, "stats")
 	cfg = cfg.withDefaults()
 	names := cfg.names(workloads.SpecNames)
-	var (
-		progMu sync.Mutex
-		prog   = Progress{CellsTotal: len(names)}
-	)
-	report := func(insts uint64) {
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		prog.CellsDone++
-		prog.Instructions += insts
-		p := prog
-		progMu.Unlock()
-		onProgress(p)
-	}
+	tally := Tally(len(names), onProgress)
 	cells := s.mapCells(cfg, names,
 		func(ctx context.Context, cfg Config, name string) (Cell, error) {
 			app, err := s.prepare(ctx, name, cfg)
@@ -81,7 +89,7 @@ func StatsSweepProgress(ctx context.Context, r *Runner, cfg Config, onProgress f
 				}
 				rows = append(rows, []string{enc})
 			}
-			report(cellInsts)
+			tally(cellInsts)
 			return Cell{Rows: rows}, nil
 		})
 

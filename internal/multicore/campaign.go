@@ -15,7 +15,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"vcfr/internal/cpu"
 	"vcfr/internal/harness"
@@ -30,6 +29,21 @@ type Cell struct {
 
 // String renders the canonical cell name, e.g. "2c4t".
 func (c Cell) String() string { return fmt.Sprintf("%dc%dt", c.Cores, c.Tenants) }
+
+// MaxCores and MaxTenants bound a cell. The campaign prepares and keeps one
+// app per tenant slot of its widest cell before any unit runs.
+const (
+	MaxCores   = 64
+	MaxTenants = 64
+)
+
+// check rejects a cell outside 1..MaxCores cores and 1..MaxTenants tenants.
+func (c Cell) check() error {
+	if c.Cores < 1 || c.Tenants < 1 || c.Cores > MaxCores || c.Tenants > MaxTenants {
+		return fmt.Errorf("multicore: bad cell %s (want 1-%d cores and 1-%d tenants)", c, MaxCores, MaxTenants)
+	}
+	return nil
+}
 
 // ParseCells parses a comma-separated cell list ("2c4t,1c2t").
 func ParseCells(s string) ([]Cell, error) {
@@ -51,8 +65,11 @@ func ParseCells(s string) ([]Cell, error) {
 				ok = false
 			}
 		}
-		if !ok || c.Cores < 1 || c.Tenants < 1 {
+		if !ok {
 			return nil, fmt.Errorf("multicore: bad cell %q (want <cores>c<tenants>t, e.g. 2c4t)", tok)
+		}
+		if err := c.check(); err != nil {
+			return nil, err
 		}
 		out = append(out, c)
 	}
@@ -110,8 +127,8 @@ func (c Config) validate() error {
 		return err
 	}
 	for _, cell := range c.Cells {
-		if cell.Cores < 1 || cell.Tenants < 1 {
-			return fmt.Errorf("multicore: bad cell %s", cell)
+		if err := cell.check(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -129,15 +146,6 @@ type Report struct {
 	Partial bool
 }
 
-// instance is one prepared tenant: a workload at one randomization epoch.
-type instance struct {
-	workload string
-	epoch    int
-	seed     int64
-	app      *harness.App
-	err      error
-}
-
 // instanceSeed derives one tenant instance's layout seed from the campaign
 // seed and the instance coordinates, so neither worker count nor cell
 // membership changes any layout.
@@ -145,20 +153,11 @@ func instanceSeed(base int64, workload string, epoch int) int64 {
 	return harness.CellSeed(base, "multicore", fmt.Sprintf("%s#%d", workload, epoch))
 }
 
-// soloRun is one (instance, mode) reference: the tenant alone on one core.
-type soloRun struct {
-	res  cpu.Result
-	err  error
-	done bool
-}
-
 // clusterRun is one (cell, mode) co-run.
 type clusterRun struct {
 	out   []cpu.Result
 	errs  []error
 	sched []cpu.SchedStats
-	err   error // constructor/context error covering the whole cell
-	done  bool
 }
 
 // RunCampaign executes the configured campaign on the runner's worker pool
@@ -184,132 +183,92 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		ctx = context.Background()
 	}
 
-	// Phase 1: prepare one instance per tenant slot of the widest cell.
-	// Instances are shared across cells and modes — tenant i means the same
-	// image bytes everywhere — so slowdown factors compare like with like.
+	// Phase 1: prepare one instance per tenant slot of the widest cell:
+	// tenant i runs workload i%len at randomization epoch i/len. Instances
+	// are shared across cells and modes — tenant i means the same image
+	// bytes everywhere — so slowdown factors compare like with like.
 	maxTenants := 0
 	for _, cell := range cfg.Cells {
-		if cell.Tenants > maxTenants {
-			maxTenants = cell.Tenants
-		}
+		maxTenants = max(maxTenants, cell.Tenants)
 	}
-	instances := make([]*instance, maxTenants)
+	nw := len(cfg.Workloads)
+	instances := make([]harness.Layout, maxTenants)
 	for i := range instances {
-		inst := &instance{
-			workload: cfg.Workloads[i%len(cfg.Workloads)],
-			epoch:    i / len(cfg.Workloads),
-		}
-		inst.seed = instanceSeed(cfg.Seed, inst.workload, inst.epoch)
-		inst.app, inst.err = harness.Prepare(inst.workload, harness.Config{
-			Scale:  cfg.Scale,
-			Spread: cfg.Spread,
-			Seed:   inst.seed,
-		})
-		instances[i] = inst
+		w := cfg.Workloads[i%nw]
+		instances[i] = harness.Layout{Workload: w, Seed: instanceSeed(cfg.Seed, w, i/nw)}
 	}
+	apps, appErrs := harness.PrepareLayouts(ctx, cfg.Scale, cfg.Spread, instances)
 
 	// Phase 2: run every unit — solo references then cluster cells — on the
 	// shared pool. Each unit writes only its own slot, so aggregation order
-	// is fixed no matter which worker ran what.
-	solos := make([]soloRun, len(instances)*len(cfg.Modes))
+	// is fixed no matter which worker ran what. A cluster cancelled mid-cell
+	// keeps each tenant's partial result alongside the unit's error.
+	solos := make([]cpu.Result, len(instances)*len(cfg.Modes))
 	clusters := make([]clusterRun, len(cfg.Cells)*len(cfg.Modes))
-	var (
-		progMu    sync.Mutex
-		doneCount int
-		instTotal uint64
-	)
-	report := func(insts uint64) {
-		if onProgress == nil {
-			return
-		}
-		progMu.Lock()
-		doneCount++
-		instTotal += insts
-		p := harness.Progress{CellsDone: doneCount, CellsTotal: len(solos) + len(clusters), Instructions: instTotal}
-		progMu.Unlock()
-		onProgress(p)
-	}
-	panics := r.Shard(ctx, len(solos)+len(clusters), func(ctx context.Context, u int) {
+	tally := harness.Tally(len(solos)+len(clusters), onProgress)
+	errs := r.Shard(ctx, len(solos)+len(clusters), func(ctx context.Context, u int) error {
 		if u < len(solos) {
-			inst, mode := instances[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
-			s := &solos[u]
-			s.done = true
-			if inst.err != nil {
-				s.err = inst.err
-				return
+			i, mode := u/len(cfg.Modes), cfg.Modes[u%len(cfg.Modes)]
+			if appErrs[i] != nil {
+				return appErrs[i]
 			}
-			s.res, _, s.err = inst.app.RunContext(ctx, mode, cfg.MaxInsts, nil)
-			report(s.res.Stats.Instructions)
-			return
+			var err error
+			solos[u], _, err = apps[i].RunContext(ctx, mode, cfg.MaxInsts, nil)
+			tally(solos[u].Stats.Instructions)
+			return err
 		}
 		u -= len(solos)
 		cell, mode := cfg.Cells[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
-		c := &clusters[u]
-		c.done = true
 		procs := make([]cpu.ClusterProc, cell.Tenants)
 		for i := range procs {
-			if err := instances[i].err; err != nil {
-				c.err = err
-				return
+			if appErrs[i] != nil {
+				return appErrs[i]
 			}
-			procs[i] = instances[i].app.Proc(mode)
+			procs[i] = apps[i].Proc(mode)
 		}
 		cl, err := cpu.NewScheduledCluster(cpu.DefaultConfig(mode),
 			cpu.SchedConfig{Cores: cell.Cores, Quantum: cfg.Quantum}, procs)
 		if err != nil {
-			c.err = err
-			return
+			return err
 		}
 		out, runErr := cl.RunContext(ctx, cfg.MaxInsts)
-		c.out, c.errs, c.sched = out, cl.Errors(), cl.SchedStats()
-		if runErr != nil && errors.Is(runErr, ctx.Err()) {
-			c.err = runErr // cancelled mid-cell: every tenant row is partial
-		}
+		clusters[u] = clusterRun{out: out, errs: cl.Errors(), sched: cl.SchedStats()}
 		var insts uint64
 		for _, res := range out {
 			insts += res.Stats.Instructions
 		}
-		report(insts)
-	})
-
-	// A panicking unit's panic is its error, covering the whole unit.
-	for u, err := range panics {
-		switch {
-		case err == nil:
-		case u < len(solos):
-			solos[u].err = err
-		default:
-			clusters[u-len(solos)].err = err
+		tally(insts)
+		if runErr != nil && errors.Is(runErr, ctx.Err()) {
+			return runErr // cancelled mid-cell: every tenant row is partial
 		}
-	}
+		return nil
+	})
 
 	// Phase 3: aggregate in plan order.
 	rep := &Report{Config: cfg}
 	soloIPC := make([]float64, len(solos))
-	for u, s := range solos {
-		inst, mode := instances[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
+	for u, res := range solos {
+		t, mode := u/len(cfg.Modes), cfg.Modes[u%len(cfg.Modes)]
 		row := results.MulticoreRow{
 			Cell:     "solo",
 			Cores:    1,
 			Tenants:  1,
 			Mode:     mode.String(),
-			Tenant:   u / len(cfg.Modes),
-			Workload: inst.workload,
-			Epoch:    inst.epoch,
-			Seed:     inst.seed,
+			Tenant:   t,
+			Workload: instances[t].Workload,
+			Epoch:    t / nw,
+			Seed:     instances[t].Seed,
 		}
-		switch {
-		case s.err != nil:
-			row.Error = harness.FirstLine(s.err.Error())
-		case !s.done:
-			row.Error = harness.FirstLine(harness.NotExecuted(ctx, "cell").Error())
-		default:
-			fillRow(&row, s.res)
+		if err := errs[u]; err != nil {
+			row.Error = harness.FirstLine(err.Error())
+		} else {
+			fillRow(&row, res)
 			soloIPC[u] = row.IPC
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	for u, c := range clusters {
+		cellErr := errs[len(solos)+u]
 		cell, mode := cfg.Cells[u/len(cfg.Modes)], cfg.Modes[u%len(cfg.Modes)]
 		total := results.MulticoreTotal{Cell: cell.String(), Mode: mode.String()}
 		cores := cell.Cores
@@ -319,7 +278,6 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 		coreCycles := make([]uint64, cores)
 		var slowdowns []float64
 		for t := 0; t < cell.Tenants; t++ {
-			inst := instances[t]
 			row := results.MulticoreRow{
 				Cell:     cell.String(),
 				Cores:    cell.Cores,
@@ -327,19 +285,17 @@ func RunCampaign(ctx context.Context, r *harness.Runner, cfg Config, onProgress 
 				Mode:     mode.String(),
 				Tenant:   t,
 				Core:     t % cores,
-				Workload: inst.workload,
-				Epoch:    inst.epoch,
-				Seed:     inst.seed,
+				Workload: instances[t].Workload,
+				Epoch:    t / nw,
+				Seed:     instances[t].Seed,
 			}
 			switch {
-			case c.err != nil:
-				row.Error = harness.FirstLine(c.err.Error())
-			case !c.done:
-				row.Error = harness.FirstLine(harness.NotExecuted(ctx, "cell").Error())
+			case cellErr != nil:
+				row.Error = harness.FirstLine(cellErr.Error())
 			case c.errs[t] != nil:
 				row.Error = harness.FirstLine(c.errs[t].Error())
 			}
-			if c.done && t < len(c.out) {
+			if t < len(c.out) {
 				res := c.out[t]
 				fillRow(&row, res)
 				if solo := soloIPC[t*len(cfg.Modes)+u%len(cfg.Modes)]; solo > 0 && row.IPC > 0 && row.Error == "" {

@@ -174,8 +174,9 @@ func TestCampaignRowPlan(t *testing.T) {
 }
 
 // TestCampaignCancellation proves a cancelled campaign returns the partial
-// report instead of an error: the full row plan comes back, unexecuted
-// units are marked, and Partial is set.
+// report instead of an error: the full row plan comes back, every
+// unexecuted unit's rows carry exactly the context's error text, and
+// Partial is set.
 func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -194,8 +195,8 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Errorf("cancelled campaign has %d rows, want the full plan of %d", len(rep.Rows), want)
 	}
 	for _, r := range rep.Rows {
-		if r.Error == "" {
-			t.Errorf("row %s/%s tenant %d executed under a cancelled context", r.Cell, r.Mode, r.Tenant)
+		if r.Error != context.Canceled.Error() {
+			t.Errorf("row %s/%s tenant %d: error %q under a cancelled context, want %q", r.Cell, r.Mode, r.Tenant, r.Error, context.Canceled)
 		}
 	}
 	env := rep.Envelope()
@@ -240,7 +241,7 @@ func TestParseCells(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0] != (Cell{2, 4}) || got[1] != (Cell{1, 2}) {
 		t.Fatalf("ParseCells = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "2x4", "0c1t", "2c0t", "c4t", "2ct"} {
+	for _, bad := range []string{"", "2x4", "0c1t", "2c0t", "c4t", "2ct", "65c1t", "1c100000000t"} {
 		if _, err := ParseCells(bad); err == nil {
 			t.Errorf("ParseCells(%q) accepted", bad)
 		}

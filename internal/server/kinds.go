@@ -108,6 +108,9 @@ var kindTable = []kindSpec{
 			if r.Injections < 0 {
 				return fmt.Errorf("injections must be >= 0")
 			}
+			if err := fault.CheckInjections(r.Injections); err != nil {
+				return err
+			}
 			if r.Bits < 0 {
 				return fmt.Errorf("bits must be >= 0")
 			}

@@ -790,6 +790,33 @@ func TestFaultsRequestValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignSizeLimits: a body asking for more tenants or injections than
+// a campaign accepts is rejected with 400 bad_request before it is queued,
+// with the message campaignsim prints for the same request.
+func TestCampaignSizeLimits(t *testing.T) {
+	s := startServer(t, Config{Workers: 1, QueueDepth: 2})
+	for _, tc := range []struct {
+		kind JobKind
+		body string
+		req  SimRequest
+	}{
+		{JobMulticore, `{"kind": "multicore", "cells": ["1c100000000t"]}`, SimRequest{Cells: []string{"1c100000000t"}}},
+		{JobFaults, `{"kind": "faults", "injections": 100000000}`, SimRequest{Injections: 100000000}},
+	} {
+		resp, body := post(t, s, "/v1/jobs", tc.body)
+		var e struct {
+			Error struct{ Code, Message string }
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != "bad_request" {
+			t.Errorf("%s: %d (%s), want 400 bad_request", tc.kind, resp.StatusCode, body)
+			continue
+		}
+		if _, err := Run(context.Background(), harness.NewRunner(1), tc.kind, tc.req, nil); err == nil || err.Error() != e.Error.Message {
+			t.Errorf("%s: campaignsim error %v, want the HTTP message %q", tc.kind, err, e.Error.Message)
+		}
+	}
+}
+
 // TestSimulateInterval drives the spine's interval sampling end to end over
 // HTTP: a simulate request with "interval" set must produce rows whose
 // per-window series covers the whole run.
