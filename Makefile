@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-pipeline bench-pipeline-record bench-check bench-fault bench-attack bench-service bench-multicore bench-realbin experiments results examples vet fmt fmtcheck cover race check trace serve serve-fleet serve-smoke faults attacks multicore campaign-smoke realbin
+.PHONY: all build test test-short bench bench-check experiments results examples vet fmt fmtcheck cover race check trace serve serve-fleet serve-smoke faults attacks multicore campaign-smoke realbin
 
 all: build test
 
@@ -60,47 +60,17 @@ fmtcheck:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Every table and figure of the paper, as testing.B benchmarks, plus the
-# archived pipeline baseline (BENCH_pipeline.json).
-bench: bench-pipeline
+# Every table and figure of the paper, as testing.B benchmarks. The
+# repository's benchmark is perfbench/ (see perfbench/README.md).
+bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The fig13+fig14 DRC-sweep acceptance benchmark, guarded against the
-# budget archived in BENCH_pipeline.json: fail on a >15% ns/instr
-# regression, re-pin the file when the fresh numbers are faster.
-bench-pipeline: bench-check
-
+# Same-host A/B regression gate: perfbench drc-sweep at the merge-base of
+# BASE and at this checkout, 10 interleaved pairs. Fails when HEAD's median
+# wall_s is more than 15% over the base's and the gap exceeds the base
+# runs' IQR, or when any run is incorrect. Usage: make bench-check BASE=<ref>
 bench-check:
-	./scripts/bench_check.sh
-
-# Unconditionally re-record BENCH_pipeline.json (first pin on a new
-# machine, or after an accepted regression).
-bench-pipeline-record:
-	./scripts/bench_pipeline.sh
-
-# Campaign throughput (injections/s), archived as BENCH_fault.json.
-bench-fault:
-	./scripts/bench_fault.sh
-
-# Attack-evaluation throughput (chains/s, fires/s), archived as
-# BENCH_attack.json.
-bench-attack:
-	./scripts/bench_attack.sh
-
-# Service-level load benchmark (cmd/vcfrload) against a single vcfrd and a
-# 1-coordinator + 2-worker fleet, archived as BENCH_service.json.
-bench-service:
-	./scripts/bench_service.sh
-
-# Scheduled-cluster throughput (ns/instr), archived as BENCH_multicore.json
-# and held within 1.5x of the single-core execute budget.
-bench-multicore:
-	./scripts/bench_multicore.sh
-
-# Real-binary front-end throughput (lift instrs/s, simulate ns/instr on
-# lifted text), archived as BENCH_realbin.json. Non-gating.
-bench-realbin:
-	./scripts/bench_realbin.sh
+	./scripts/bench_check.sh $(BASE)
 
 # Every table and figure, as readable text tables.
 experiments:

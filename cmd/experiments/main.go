@@ -26,8 +26,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -39,32 +41,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
-		workloadsF = flag.String("workloads", "", "comma-separated workload subset (default: experiment's own set)")
-		scale      = flag.Int("scale", 1, "workload iteration scale")
-		maxInsts   = flag.Uint64("instructions", 0, "per-run instruction cap (0 = run to completion)")
-		seed       = flag.Int64("seed", 42, "randomization seed")
-		spread     = flag.Int("spread", 0, "ILR scatter factor (0 = harness default)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel cell workers")
-		cachePath  = flag.String("cache", "", "results cache file; computed cells are reused across runs")
-		cellTime   = flag.Duration("cell-timeout", 0, "per-cell time budget (0 = none); overruns become error rows")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		format     = flag.String("format", "text", "output format: text | json")
-		statsJSON  = flag.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON")
+		experiment = fs.String("experiment", "all", "experiment id (see -list) or 'all'")
+		workloadsF = fs.String("workloads", "", "comma-separated workload subset (default: experiment's own set)")
+		scale      = fs.Int("scale", 1, "workload iteration scale")
+		maxInsts   = fs.Uint64("instructions", 0, "per-run instruction cap (0 = run to completion)")
+		seed       = fs.Int64("seed", 42, "randomization seed")
+		spread     = fs.Int("spread", 0, "ILR scatter factor (0 = harness default)")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel cell workers")
+		cachePath  = fs.String("cache", "", "results cache file; computed cells are reused across runs")
+		cellTime   = fs.Duration("cell-timeout", 0, "per-cell time budget (0 = none); overruns become error rows")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		format     = fs.String("format", "text", "output format: text | json")
+		statsJSON  = fs.Bool("stats-json", false, "instead of table experiments, run every workload under all three modes and emit full per-run Results as JSON")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Refuse a bad -format before any experiment runs.
+	if *format != "text" && *format != "json" {
+		return fmt.Errorf("unknown -format %q (want text or json)", *format)
+	}
 
 	if *list {
 		for _, e := range harness.Experiments {
-			fmt.Printf("%-24s %s\n%-24s   paper: %s\n", e.ID, e.Desc, "", e.Paper)
+			fmt.Fprintf(stdout, "%-24s %s\n%-24s   paper: %s\n", e.ID, e.Desc, "", e.Paper)
 		}
 		return nil
 	}
@@ -96,9 +107,6 @@ func run() error {
 		r.Cache = harness.OpenCache(*cachePath)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	if *statsJSON {
 		rows, err := harness.StatsSweep(ctx, r, cfg)
 		if err != nil {
@@ -109,7 +117,7 @@ func run() error {
 		// sweep (cancelled, or cells failed) still prints every finished
 		// row, then exits non-zero so scripts notice.
 		env := results.NewSweep(rows)
-		if err := results.Write(os.Stdout, env); err != nil {
+		if err := results.Write(stdout, env); err != nil {
 			return err
 		}
 		if env.Sweep.Partial {
@@ -137,18 +145,15 @@ func run() error {
 			failed++
 			continue
 		}
-		switch *format {
-		case "text":
-			fmt.Print(res.Table.Render())
-			fmt.Printf("paper: %s   (%.1fs)\n\n", e.Paper, res.Elapsed.Seconds())
-		case "json":
+		if *format == "json" {
 			out = append(out, jsonResult{Table: res.Table, Paper: e.Paper, Seconds: res.Elapsed.Seconds()})
-		default:
-			return fmt.Errorf("unknown -format %q", *format)
+			continue
 		}
+		fmt.Fprint(stdout, res.Table.Render())
+		fmt.Fprintf(stdout, "paper: %s   (%.1fs)\n\n", e.Paper, res.Elapsed.Seconds())
 	}
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			return err

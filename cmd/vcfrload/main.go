@@ -2,7 +2,7 @@
 // coordinator fleet) through the unified /v1/jobs API: it fires a mixed
 // stream of small run/sweep/faults/attacks jobs at the target with bounded
 // concurrency, follows each job to completion, and reports throughput and
-// latency percentiles as JSON — the producer behind BENCH_service.json.
+// latency percentiles as JSON.
 //
 // Usage:
 //

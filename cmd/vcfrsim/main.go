@@ -21,6 +21,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,33 +44,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "vcfrsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vcfrsim", flag.ContinueOnError)
 	var (
-		workload = flag.String("workload", "", "built-in workload name (see -list)")
-		elfPath  = flag.String("elf", "", "run a RV64 ELF binary, lifted through the real-binary front end")
-		bundle   = flag.String("bundle", "", "run a randomization bundle produced by ilrrand")
-		list     = flag.Bool("list", false, "list built-in workloads")
-		mode     = flag.String("mode", "vcfr", "baseline | naive | vcfr | all")
-		scale    = flag.Int("scale", 1, "workload scale")
-		maxInsts = flag.Uint64("instructions", 0, "instruction cap (0 = to completion)")
-		seed     = flag.Int64("seed", 1, "randomization seed")
-		spread   = flag.Int("spread", 8, "scatter factor")
-		drc      = flag.Int("drc", 128, "DRC entries")
-		traceN   = flag.Uint64("trace", 0, "print the first N executed instructions (UPC/RPC/storage)")
-		width    = flag.Int("width", 1, "issue width (1 = the paper's core, 2 = dual-issue)")
-		ctxEvery = flag.Uint64("ctxswitch", 0, "flush process-private state every N instructions")
-		record   = flag.String("record", "", "capture the run into a trace file (single mode only)")
-		jsonOut  = flag.Bool("stats-json", false, "emit a versioned results.Envelope as JSON instead of the text report")
-		interval = flag.Uint64("interval", 0, "snapshot counters every N instructions; the per-window series lands in the envelope's intervals field")
-		emulate  = flag.Bool("emulate", false, "also run the software-ILR emulation and report its counters (emulated-ilr row under -stats-json)")
+		workload = fs.String("workload", "", "built-in workload name (see -list)")
+		elfPath  = fs.String("elf", "", "run a RV64 ELF binary, lifted through the real-binary front end")
+		bundle   = fs.String("bundle", "", "run a randomization bundle produced by ilrrand")
+		list     = fs.Bool("list", false, "list built-in workloads")
+		mode     = fs.String("mode", "vcfr", "baseline | naive | vcfr | all")
+		scale    = fs.Int("scale", 1, "workload scale")
+		maxInsts = fs.Uint64("instructions", 0, "instruction cap (0 = to completion)")
+		seed     = fs.Int64("seed", 1, "randomization seed")
+		spread   = fs.Int("spread", 8, "scatter factor")
+		drc      = fs.Int("drc", 128, "DRC entries")
+		traceN   = fs.Uint64("trace", 0, "print the first N executed instructions (UPC/RPC/storage)")
+		width    = fs.Int("width", 1, "issue width (1 = the paper's core, 2 = dual-issue)")
+		ctxEvery = fs.Uint64("ctxswitch", 0, "flush process-private state every N instructions")
+		record   = fs.String("record", "", "capture the run into a trace file (single mode only)")
+		jsonOut  = fs.Bool("stats-json", false, "emit a versioned results.Envelope as JSON instead of the text report")
+		interval = fs.Uint64("interval", 0, "snapshot counters every N instructions; the per-window series lands in the envelope's intervals field")
+		emulate  = fs.Bool("emulate", false, "also run the software-ILR emulation and report its counters (emulated-ilr row under -stats-json)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		// The name/source/desc columns mirror the fields of GET /v1/workloads,
@@ -80,11 +86,15 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s %-10s %s\n", n, w.Source, w.Desc)
+			fmt.Fprintf(stdout, "%-12s %-10s %s\n", n, w.Source, w.Desc)
 		}
 		return nil
 	}
 
+	// The trace table is text; it has no place in the JSON envelope.
+	if *traceN > 0 && *jsonOut {
+		return fmt.Errorf("-trace cannot be combined with -stats-json")
+	}
 	modes, err := cpu.ParseModes(*mode)
 	if err != nil {
 		return err
@@ -109,20 +119,17 @@ func run() error {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	// The canonical JSON path: a plain workload simulation goes through the
 	// exact entry point the vcfrd service uses (harness.SimulateRuns +
 	// results.Marshal), so `vcfrsim -workload W -stats-json` and
 	// `POST /v1/simulate {"workload": "W", ...}` produce identical bytes.
-	if *jsonOut && *workload != "" && *bundle == "" && *record == "" && !*emulate && flag.NArg() == 0 {
+	if *jsonOut && *workload != "" && *bundle == "" && *record == "" && !*emulate && fs.NArg() == 0 {
 		cfg := harness.Config{Scale: *scale, MaxInsts: *maxInsts, Seed: *seed, Spread: *spread}
 		rows, err := harness.SimulateRuns(ctx, harness.NewRunner(1), *workload, modes, cfg, mutate)
 		if err != nil {
 			return err
 		}
-		return results.Write(os.Stdout, results.NewRun(rows...))
+		return results.Write(stdout, results.NewRun(rows...))
 	}
 
 	var sys *core.System
@@ -164,12 +171,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	case flag.NArg() == 1:
-		src, err := os.ReadFile(flag.Arg(0))
+	case fs.NArg() == 1:
+		src, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		name = strings.TrimSuffix(filepath.Base(flag.Arg(0)), filepath.Ext(flag.Arg(0)))
+		name = strings.TrimSuffix(filepath.Base(fs.Arg(0)), filepath.Ext(fs.Arg(0)))
 		sys, err = core.NewSystemFromSource(name, string(src), core.Options{Seed: *seed, Spread: *spread})
 		if err != nil {
 			return err
@@ -223,7 +230,7 @@ func run() error {
 			})
 			return nil
 		}
-		reportEmulated(os.Stdout, rr.Stats)
+		reportEmulated(stdout, rr.Stats)
 		return nil
 	}
 	finish := func() error {
@@ -233,7 +240,7 @@ func run() error {
 		if !*jsonOut {
 			return nil
 		}
-		return results.Write(os.Stdout, results.NewRun(jsonRows...))
+		return results.Write(stdout, results.NewRun(jsonRows...))
 	}
 
 	// -record captures the run into a trace file alongside the normal report.
@@ -257,7 +264,7 @@ func run() error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "vcfrsim: recorded %d instructions to %s\n", tr.Len(), *record)
-		if err := emit(os.Stdout, m, res); err != nil {
+		if err := emit(stdout, m, res); err != nil {
 			return err
 		}
 		return finish()
@@ -270,11 +277,11 @@ func run() error {
 	// force the sequential path.
 	if *traceN > 0 || *jsonOut || len(modes) == 1 {
 		for _, m := range modes {
-			res, err := simulate(sys, m, mutate, *maxInsts, *traceN)
+			res, err := simulate(stdout, sys, m, mutate, *maxInsts, *traceN)
 			if err != nil {
 				return err
 			}
-			if err := emit(os.Stdout, m, res); err != nil {
+			if err := emit(stdout, m, res); err != nil {
 				return err
 			}
 		}
@@ -302,15 +309,16 @@ func run() error {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		if _, err := bufs[i].WriteTo(os.Stdout); err != nil {
+		if _, err := bufs[i].WriteTo(stdout); err != nil {
 			return err
 		}
 	}
 	return finish()
 }
 
-// simulate runs one mode, optionally tracing the first traceN instructions.
-func simulate(sys *core.System, m cpu.Mode, mutate func(*cpu.Config), maxInsts, traceN uint64) (cpu.Result, error) {
+// simulate runs one mode, optionally tracing the first traceN instructions
+// to w.
+func simulate(w io.Writer, sys *core.System, m cpu.Mode, mutate func(*cpu.Config), maxInsts, traceN uint64) (cpu.Result, error) {
 	if traceN == 0 {
 		return sys.Simulate(m, mutate, maxInsts)
 	}
@@ -318,11 +326,11 @@ func simulate(sys *core.System, m cpu.Mode, mutate func(*cpu.Config), maxInsts, 
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	fmt.Printf("--- trace (%s): first %d instructions ---\n", m, traceN)
-	fmt.Printf("%-8s %-10s %-10s %-10s %-10s %s\n", "seq", "cycle", "UPC", "RPC", "storage", "instruction")
+	fmt.Fprintf(w, "--- trace (%s): first %d instructions ---\n", m, traceN)
+	fmt.Fprintf(w, "%-8s %-10s %-10s %-10s %-10s %s\n", "seq", "cycle", "UPC", "RPC", "storage", "instruction")
 	p.SetTracer(func(e cpu.TraceEvent) {
 		if e.Seq < traceN {
-			fmt.Printf("%-8d %-10d %#-10x %#-10x %#-10x %s\n",
+			fmt.Fprintf(w, "%-8d %-10d %#-10x %#-10x %#-10x %s\n",
 				e.Seq, e.Cycle, e.UPC, e.RPC, e.Storage, e.Text)
 		}
 	})

@@ -260,7 +260,6 @@ func TestParsePayloads(t *testing.T) {
 
 // BenchmarkChainBuild measures the chain builder alone: payload templates
 // compiled per second against a full-knowledge baseline gadget pool.
-// scripts/bench_attack.sh records this as chains evaluated per second.
 func BenchmarkChainBuild(b *testing.B) {
 	app, err := harness.Prepare("sjeng", harness.Config{Seed: 42})
 	if err != nil {

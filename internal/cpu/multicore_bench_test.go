@@ -14,10 +14,9 @@ import (
 // through the quantum scheduler, so every dispatch pays the real switch-in
 // machinery (DRC/iTLB flush, block-cache drop under per-process-key modes)
 // and every access goes through the per-tenant physical page tag and the
-// shared L2. The ns/instr metric is the multicore analog of the pipeline
-// budget in BENCH_pipeline.json; scripts/bench_multicore.sh archives it in
-// BENCH_multicore.json and holds it within 1.5x of the pinned
-// single-core execute figure.
+// shared L2. The ns/instr metric is the multicore analog of
+// BenchmarkDRCSweep's; perfbench reports the same path as
+// cpu.cluster_ns_per_inst.
 //
 //	go test ./internal/cpu -bench BenchmarkCluster -benchtime 3x
 func BenchmarkCluster(b *testing.B) {

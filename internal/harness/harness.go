@@ -68,16 +68,7 @@ type App struct {
 
 // Prepare builds and randomizes one workload.
 func Prepare(name string, cfg Config) (*App, error) {
-	cfg = cfg.withDefaults()
-	w, err := workloads.ByName(name, cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ilr.Rewrite(w.Img, ilr.Options{Seed: cfg.Seed, Spread: cfg.Spread})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", name, err)
-	}
-	return &App{W: w, R: res}, nil
+	return PrepareOpts(name, cfg, ilr.Options{})
 }
 
 // PrepareOpts is Prepare with explicit rewriter options (ablations).
